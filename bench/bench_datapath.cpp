@@ -1,5 +1,5 @@
 // E16 — the asynchronous data path: background readahead and parallel bulk
-// transfer vs the synchronous single-RPC ablation.
+// transfer vs the synchronous one-chunk ablation.
 //
 // A WAN-ish link (per-message propagation latency + per-byte bandwidth,
 // simulated as real sleeps on the server's workers) makes RPC round-trips the
@@ -11,7 +11,7 @@
 //     and keeps 1/2/4/8 doubling-window prefetch RPCs in flight ahead of it.
 //   - large write: 1 MiB written locally, then pushed by one fsync (the push
 //     is what's timed — the local write is identical either way). The ablation
-//     stores it as a single RPC whose 1 MiB payload serializes on the link;
+//     stores it as one chunk whose 1 MiB payload serializes on the link;
 //     the async path splits it into max_rpc_bytes sub-ranges issued
 //     concurrently, overlapping their transfer time.
 //
@@ -19,8 +19,7 @@
 // paper-adjacent claim: >= 2x scan, >= 1.5x write), the end-to-end copy
 // ratio (bytes memcpy'd anywhere on the path / payload bytes that crossed
 // the wire — the zero-copy work drives it toward 1), and a 64-client
-// saturation phase (everyone scanning the same file through the slice path
-// with adaptive RPC sizing on).
+// saturation phase (everyone scanning the same file through the slice path).
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -158,7 +157,7 @@ double Best(double a, double b) { return a > b ? a : b; }
 }  // namespace
 
 int main() {
-  std::printf("E16 — asynchronous data path vs synchronous single-RPC ablation\n");
+  std::printf("E16 — asynchronous data path vs synchronous one-chunk ablation\n");
   std::printf("link: %llu us/leg latency, %llu MB/s; file %llu KiB, reads %zu KiB, "
               "rpc split %llu KiB\n\n",
               (unsigned long long)kSimLatencyUs, (unsigned long long)(kSimBandwidth / 1000000),
@@ -235,7 +234,7 @@ int main() {
   report.Metric("scan_copy_ratio_at_4", scan_copy.ratio(), "copied/moved");
 
   // --- 64-client saturation: everyone scans the same file through the slice
-  // path with adaptive RPC sizing on. Read tokens are shared, so this
+  // path. Read tokens are shared, so this
   // saturates the server's data plane rather than the token manager; the
   // aggregate MB/s and the phase-wide copy ratio are what matter.
   constexpr int kSatClients = 64;
@@ -252,7 +251,6 @@ int main() {
     sopts.readahead_min_blocks = 8;
     sopts.readahead_max_blocks = 64;
     sopts.max_rpc_bytes = kMaxRpcBytes;
-    sopts.adaptive_rpc_sizing = true;
     CacheManager* c = rig->NewClient("alice", sopts);
     auto vfs = c->MountVolume("home");
     if (!vfs.ok()) {
@@ -294,25 +292,21 @@ int main() {
   }
   auto sat_elapsed = std::chrono::steady_clock::now() - sat_start;
   CopyStats sat_copy;
-  uint64_t sat_resizes = 0;
   for (CacheManager* c : sat_clients) {
     CacheManager::Stats cs = c->stats();
     sat_copy.copied += cs.bytes_copied;
     sat_copy.moved += cs.bytes_moved;
-    sat_resizes += cs.adaptive_resizes;
     (void)c->ReturnAllTokens();
   }
   sat_copy.copied += rig->server->stats().bytes_copied - sat_sbefore.bytes_copied;
   double sat_mbps = MBps(uint64_t{kSatClients} * kFileBytes, sat_elapsed);
   std::printf("\nsaturation: %d clients x %llu KiB, %d failures, %.1f MB/s "
-              "aggregate, copy ratio %.2f, %llu adaptive resizes\n",
+              "aggregate, copy ratio %.2f\n",
               kSatClients, (unsigned long long)(kFileBytes / 1024),
-              sat_failures.load(), sat_mbps, sat_copy.ratio(),
-              (unsigned long long)sat_resizes);
+              sat_failures.load(), sat_mbps, sat_copy.ratio());
   report.Metric("sat_clients", kSatClients, "clients");
   report.Metric("sat_failures", sat_failures.load(), "clients");
   report.Metric("sat_aggregate_MBps", sat_mbps, "MB/s");
   report.Metric("sat_copy_ratio", sat_copy.ratio(), "copied/moved");
-  report.Metric("sat_adaptive_resizes", (double)sat_resizes, "resizes");
   return sat_failures.load() == 0 ? 0 : 1;
 }

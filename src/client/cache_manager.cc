@@ -15,12 +15,56 @@ uint64_t BlockEnd(uint64_t offset, size_t len) {
   return (offset + len + kBlockSize - 1) / kBlockSize;
 }
 
-// Adaptive RPC sizing: EWMA smoothing factor for the link estimates and the
-// pipelining headroom multiplied into the bandwidth-delay product (chunks a
-// little larger than one BDP keep the parallel sub-range pipe full across
-// scheduling jitter).
-constexpr double kEwmaAlpha = 0.25;
-constexpr double kAdaptiveHeadroom = 1.5;
+// One RPC's share of a bulk transfer.
+struct Chunk {
+  uint64_t off;
+  uint64_t len;
+};
+
+// Cuts the `len` bytes at `off` into chunks of `limit` bytes rounded down to
+// whole blocks (at least one block). A transfer that fits `limit`, or any
+// transfer when `limit` is 0, is one chunk.
+std::vector<Chunk> ChunksOf(uint64_t off, uint64_t len, uint64_t limit) {
+  if (limit == 0 || len <= limit || len <= kBlockSize) {
+    return {Chunk{off, len}};
+  }
+  uint64_t step = std::max<uint64_t>(kBlockSize, limit / kBlockSize * kBlockSize);
+  std::vector<Chunk> chunks;
+  for (uint64_t pos = 0; pos < len; pos += step) {
+    chunks.push_back({off + pos, std::min(step, len - pos)});
+  }
+  return chunks;
+}
+
+// The kFetchData request for `len` bytes at `off`, asking for `want` tokens
+// over `trange` (0 = a tokenless data chunk).
+Writer FetchRequest(const Fid& fid, uint64_t off, uint64_t len, uint32_t want,
+                    const ByteRange& trange, bool token_only) {
+  Writer w;
+  PutFid(w, fid);
+  w.PutU64(off);
+  w.PutU32(static_cast<uint32_t>(len));
+  w.PutU32(want);
+  w.PutU64(trange.start);
+  w.PutU64(trange.end);
+  if (token_only) {
+    w.PutU8(kFetchFlagTokenOnly);
+  }
+  return w;
+}
+
+// The kStoreData / kRevocationStore body: one slice per block, contiguous at
+// `offset`, riding out-of-band.
+Writer StoreBody(const Fid& fid, uint64_t offset, std::span<const BufferSlice> parts) {
+  Writer w;
+  PutFid(w, fid);
+  w.PutU64(offset);
+  w.PutU32(static_cast<uint32_t>(parts.size()));
+  for (const BufferSlice& part : parts) {
+    w.PutSlice(part);
+  }
+  return w;
+}
 
 uint32_t OpenTokenFor(OpenMode mode) {
   switch (mode) {
@@ -561,25 +605,7 @@ Status CacheManager::StoreDirtyRangeLocked(CVnode& cv, const ByteRange& range,
       }
       continue;
     }
-    uint64_t run_len = end - offset;
-    Writer w;
-    PutFid(w, cv.fid);
-    w.PutU64(offset);
-    w.PutU32(static_cast<uint32_t>(last - first + 1));
-    for (uint64_t b = first; b <= last; ++b) {
-      uint64_t boff = b * kBlockSize - offset;
-      size_t n = std::min<size_t>(kBlockSize, run_len - boff);
-      auto slice = store_->GetSlice(cv.fid, b, n);
-      w.PutSlice(slice.ok() ? *std::move(slice)
-                            : BufferSlice::TakeOwnership(std::vector<uint8_t>(n, 0)));
-    }
-    {
-      MutexLock lock(mu_);
-      stats_.bytes_moved += run_len;
-      if (!store_->SharesSlices()) {
-        stats_.bytes_copied += run_len;  // GetSlice's adapter copied out
-      }
-    }
+    Writer w = StoreBody(cv.fid, offset, RunSlicesLocked(cv, first, end - offset));
     ASSIGN_OR_RETURN(WireMessage payload,
                      CallVolume(cv.fid.volume, revocation_path ? kRevocationStore : kStoreData,
                                 w, &cv.fid, /*allow_recovery=*/false));
@@ -604,6 +630,23 @@ Status CacheManager::StoreDirtyRangeLocked(CVnode& cv, const ByteRange& range,
   return Status::Ok();
 }
 
+std::vector<BufferSlice> CacheManager::RunSlicesLocked(CVnode& cv, uint64_t first,
+                                                       uint64_t run_len) {
+  std::vector<BufferSlice> parts;
+  for (uint64_t boff = 0; boff < run_len; boff += kBlockSize) {
+    size_t n = std::min<size_t>(kBlockSize, run_len - boff);
+    auto slice = store_->GetSlice(cv.fid, first + boff / kBlockSize, n);
+    parts.push_back(slice.ok() ? *std::move(slice)
+                               : BufferSlice::TakeOwnership(std::vector<uint8_t>(n, 0)));
+  }
+  MutexLock lock(mu_);
+  stats_.bytes_moved += run_len;
+  if (!store_->SharesSlices()) {
+    stats_.bytes_copied += run_len;  // GetSlice's adapter copied out of the store
+  }
+  return parts;
+}
+
 Status CacheManager::ApplyRevocationLocked(CVnode& cv, const Token& token, uint32_t types,
                                            uint64_t stamp) {
   (void)stamp;
@@ -624,9 +667,13 @@ Status CacheManager::ApplyRevocationLocked(CVnode& cv, const Token& token, uint3
     // cold if the reader comes back.
     cv.prefetch_gen += 1;
     prefetcher_->Forget(cv.fid);
+    // Blocks still dirty stay: they are our newest bytes, held under a
+    // separate write token (a write revocation has already stored its range
+    // above, so its blocks are clean by now).
     for (auto it = cv.cached_blocks.begin(); it != cv.cached_blocks.end();) {
       uint64_t bstart = *it * kBlockSize;
-      if (token.range.Overlaps(ByteRange{bstart, bstart + kBlockSize})) {
+      if (token.range.Overlaps(ByteRange{bstart, bstart + kBlockSize}) &&
+          cv.dirty_blocks.count(*it) == 0) {
         NotePrefetchDropLocked(cv, *it);
         store_->Erase(cv.fid, *it);
         RemoveLru(cv.fid, *it);
@@ -1159,115 +1206,77 @@ Status CacheManager::FetchAndInstall(CVnode& cv, uint64_t offset, size_t len,
   ByteRange trange = TokenRangeFor(offset, len);
   uint64_t aligned_off = BlockOf(offset) * kBlockSize;
   uint64_t aligned_len = BlockEnd(offset, len) * kBlockSize - aligned_off;
-  uint64_t limit = EffectiveMaxRpcBytes(cv.fid.volume);
   // A token-only fetch carries no data, so there is nothing to split.
-  bool split = !token_only && limit > 0 && aligned_len > limit && aligned_len > kBlockSize;
+  std::vector<Chunk> chunks =
+      ChunksOf(aligned_off, aligned_len, token_only ? 0 : options_.max_rpc_bytes);
+  if (chunks.size() > 1) {
+    MutexLock lock(mu_);
+    stats_.bulk_rpcs_split += 1;
+  }
 
   {
     OrderedLockGuard low(cv.low);
     cv.rpc_in_flight += 1;
   }
 
-  auto fetch_one = [&](uint64_t off, uint64_t clen, uint32_t want) -> Result<WireMessage> {
-    Writer w;
-    PutFid(w, cv.fid);
-    w.PutU64(off);
-    w.PutU32(static_cast<uint32_t>(clen));
-    w.PutU32(want);
-    w.PutU64(trange.start);
-    w.PutU64(trange.end);
-    if (token_only) {
-      w.PutU8(kFetchFlagTokenOnly);
-    }
+  auto fetch = [&](size_t i, uint32_t want) -> Result<WireMessage> {
+    Writer w = FetchRequest(cv.fid, chunks[i].off, chunks[i].len, want, trange, token_only);
     InflightTracker inflight(this);
-    auto t0 = std::chrono::steady_clock::now();
-    auto reply = CallVolume(cv.fid.volume, kFetchData, w);
-    if (reply.ok() && options_.adaptive_rpc_sizing && reply->total_bytes() >= kBlockSize) {
-      uint64_t wall_us = static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                                   std::chrono::steady_clock::now() - t0)
-                                                   .count());
-      auto server = ServerForVolume(cv.fid.volume, /*refresh=*/false);
-      if (server.ok()) {
-        NoteBandwidthSample(*server, reply->total_bytes(), wall_us);
-      }
-    }
-    if (reply.ok() && token_only) {
-      MutexLock lock(mu_);
-      stats_.token_only_grants += 1;
-    }
-    return reply;
+    return CallVolume(cv.fid.volume, kFetchData, w);
   };
-
-  Status result = Status::Ok();
-  std::vector<std::vector<uint64_t>> installed;
-  if (!split) {
-    // Legacy single-RPC path: one kFetchData covers data + token.
-    auto payload = fetch_one(aligned_off, aligned_len, want_types);
-
-    OrderedLockGuard low(cv.low);
-    cv.rpc_in_flight -= 1;
-    result = payload.ok() ? InstallFetchReplyLocked(cv, aligned_off, aligned_len, *payload,
-                                                    /*install_data=*/true,
-                                                    /*mark_prefetched=*/false, nullptr)
-                          : payload.status();
-    if (result.ok() && after_install != nullptr) {
-      after_install();
-    }
-    auto to_return = DrainPendingLocked(cv);
-    for (const auto& [id, types] : to_return) {
-      (void)ReturnToken(cv.fid, id, types);
-    }
-    return result;
-  }
-
-  // Parallel bulk fetch: block-aligned sub-ranges issued concurrently on the
-  // data pool and merged under `low` as each reply lands. The token chunk is
-  // a *barrier*: chunk 0 (whose token range covers the whole transfer) runs
-  // first and alone, so by the time the tokenless data chunks are on the wire
-  // the token is already ours — a conflicting write must revoke it first, and
-  // with rpc_in_flight held the revocation queues until DrainPendingLocked
-  // below, which invalidates whatever the data chunks installed. Issuing
-  // tokenless chunks concurrently with the grant would let another client's
-  // write land between a chunk's server-side read and the grant, leaving this
-  // client serving stale bytes under a valid token with no revocation ever
-  // aimed at it.
-  {
-    MutexLock lock(mu_);
-    stats_.bulk_rpcs_split += 1;
-  }
-  uint64_t chunk_bytes = std::max<uint64_t>(kBlockSize, limit / kBlockSize * kBlockSize);
-  struct Chunk {
-    uint64_t off;
-    uint64_t len;
-  };
-  std::vector<Chunk> chunks;
-  for (uint64_t off = aligned_off; off < aligned_off + aligned_len; off += chunk_bytes) {
-    chunks.push_back({off, std::min(chunk_bytes, aligned_off + aligned_len - off)});
-  }
   std::vector<Status> statuses(chunks.size(), Status::Ok());
-  installed.resize(chunks.size());
-  auto run_chunk = [&](size_t i, uint32_t want) {
-    const Chunk& c = chunks[i];
-    auto payload = fetch_one(c.off, c.len, want);
-    OrderedLockGuard low(cv.low);
-    statuses[i] = payload.ok()
-                      ? InstallFetchReplyLocked(cv, c.off, c.len, *payload,
-                                                /*install_data=*/true,
-                                                /*mark_prefetched=*/false, &installed[i])
-                      : payload.status();
+  std::vector<std::vector<uint64_t>> installed(chunks.size());
+  auto install = [&](size_t i, const Result<WireMessage>& payload) -> Status {
+    cv.low.AssertHeld();  // callers hold it; lambdas are analyzed alone
+    RETURN_IF_ERROR(payload.status());
+    return InstallFetchReplyLocked(cv, chunks[i].off, chunks[i].len, *payload,
+                                   /*install_data=*/true, /*mark_prefetched=*/false,
+                                   &installed[i]);
   };
-  run_chunk(0, want_types);
-  if (statuses[0].ok()) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(chunks.size() - 1);
-    for (size_t i = 1; i < chunks.size(); ++i) {
-      tasks.push_back([&run_chunk, i] { run_chunk(i, 0); });
+
+  // Chunk 0 carries the token, whose range covers the whole transfer, and is
+  // a *barrier*: it runs first and alone, so by the time the tokenless data
+  // chunks are on the wire the token is already ours — a conflicting write
+  // must revoke it first. Issuing tokenless chunks concurrently with the
+  // grant would let another client's write land between a chunk's
+  // server-side read and the grant, leaving this client serving stale bytes
+  // under a valid token with no revocation ever aimed at it. The data chunks
+  // then run concurrently on the data pool, each merged under `low` as its
+  // reply lands.
+  Result<WireMessage> first = fetch(0, want_types);
+  if (first.ok() && token_only) {
+    MutexLock lock(mu_);
+    stats_.token_only_grants += 1;
+  }
+  bool lone = chunks.size() == 1;
+  if (!lone) {
+    {
+      OrderedLockGuard low(cv.low);
+      statuses[0] = install(0, first);
     }
-    RunDataTasks(tasks);
+    if (statuses[0].ok()) {
+      std::vector<std::function<void()>> tasks;
+      tasks.reserve(chunks.size() - 1);
+      for (size_t i = 1; i < chunks.size(); ++i) {
+        tasks.push_back([&, i] {
+          Result<WireMessage> payload = fetch(i, 0);
+          OrderedLockGuard low(cv.low);
+          statuses[i] = install(i, payload);
+        });
+      }
+      RunDataTasks(tasks);
+    }
   }
 
   OrderedLockGuard low(cv.low);
   cv.rpc_in_flight -= 1;
+  if (lone) {
+    // A lone chunk installs in the same critical section as after_install
+    // and the drain, so no revocation can reach its fresh token before the
+    // operation that asked for it completes (Section 6.3).
+    statuses[0] = install(0, first);
+  }
+  Status result = Status::Ok();
   for (const Status& s : statuses) {  // first error in chunk order wins
     if (!s.ok()) {
       result = s;
@@ -1276,7 +1285,7 @@ Status CacheManager::FetchAndInstall(CVnode& cv, uint64_t offset, size_t len,
   }
   if (!result.ok()) {
     // Roll back the blocks this op freshly installed (`installed` never lists
-    // blocks that were validly cached before the op), so a failed bulk fetch
+    // blocks that were validly cached before the op), so a failed fetch
     // leaves the cache exactly as it found it.
     for (const auto& blocks : installed) {
       for (uint64_t b : blocks) {
@@ -1388,14 +1397,8 @@ void CacheManager::PrefetchWindow(CVnodeRef cv, Prefetcher::Window win, uint64_t
     prefetcher_->WindowDone(cv->fid, win.start_block);
     return;
   }
-  ByteRange trange = TokenRangeFor(off, len);
-  Writer w;
-  PutFid(w, cv->fid);
-  w.PutU64(off);
-  w.PutU32(static_cast<uint32_t>(len));
-  w.PutU32(kTokenDataRead | kTokenStatusRead);
-  w.PutU64(trange.start);
-  w.PutU64(trange.end);
+  Writer w = FetchRequest(cv->fid, off, len, kTokenDataRead | kTokenStatusRead,
+                          TokenRangeFor(off, len), /*token_only=*/false);
   auto payload = [&] {
     InflightTracker inflight(this);
     return CallVolume(cv->fid.volume, kFetchData, w);
@@ -1620,7 +1623,6 @@ Result<bool> CacheManager::PushOneDirtyRunHighLocked(CVnode& cv, bool background
   uint64_t offset = 0;
   uint64_t run_len = 0;
   std::vector<BufferSlice> parts;  // one per block of the run, in block order
-  std::vector<uint64_t> blocks;
   for (;;) {
     OrderedLockGuard low(cv.low);
     if (cv.dirty_lost) {
@@ -1651,242 +1653,117 @@ Result<bool> CacheManager::PushOneDirtyRunHighLocked(CVnode& cv, bool background
       continue;  // run past EOF (truncate): discard it and look again
     }
     run_len = end - offset;
-    for (uint64_t b = first; b <= last; ++b) {
-      uint64_t boff = b * kBlockSize - offset;
-      size_t n = std::min<size_t>(kBlockSize, run_len - boff);
-      auto slice = store_->GetSlice(cv.fid, b, n);
-      parts.push_back(slice.ok() ? *std::move(slice)
-                                 : BufferSlice::TakeOwnership(std::vector<uint8_t>(n, 0)));
-      blocks.push_back(b);
-    }
+    parts = RunSlicesLocked(cv, first, run_len);
     break;
   }
-  {
+  // The run drains as block-aligned chunks (one when it fits max_rpc_bytes)
+  // issued concurrently. Each chunk is all-or-retry — a successful chunk's
+  // blocks come off the dirty set immediately (the server has them), and the
+  // sync infos merge correctly in any completion order under the stamp rule.
+  std::vector<Chunk> chunks = ChunksOf(offset, run_len, options_.max_rpc_bytes);
+  if (chunks.size() > 1) {
     MutexLock lock(mu_);
-    stats_.bytes_moved += run_len;
-    if (!store_->SharesSlices()) {
-      stats_.bytes_copied += run_len;  // GetSlice's adapter copied out of the store
-    }
+    stats_.bulk_rpcs_split += 1;
   }
-  // Adaptive sizing: goodput samples from timed store RPCs feed the link
-  // estimate the split decision below consults.
-  auto note_bw = [&](uint64_t bytes, std::chrono::steady_clock::time_point t0) {
-    if (!options_.adaptive_rpc_sizing || bytes < kBlockSize) {
-      return;
-    }
-    uint64_t wall_us = static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                                 std::chrono::steady_clock::now() - t0)
-                                                 .count());
-    auto server = ServerForVolume(cv.fid.volume, /*refresh=*/false);
-    if (server.ok()) {
-      NoteBandwidthSample(*server, bytes, wall_us);
-    }
-  };
-  uint64_t limit = EffectiveMaxRpcBytes(cv.fid.volume);
-  bool split = limit > 0 && run_len > limit && run_len > kBlockSize;
-  Status store_result = Status::Ok();
-  if (!split) {
-    // Legacy single-RPC path: the whole run in one kStoreData, the block
-    // slices riding out-of-band.
-    Writer w;
-    PutFid(w, cv.fid);
-    w.PutU64(offset);
-    w.PutU32(static_cast<uint32_t>(parts.size()));
-    for (const BufferSlice& part : parts) {
-      w.PutSlice(part);
-    }
+  std::vector<Status> statuses(chunks.size(), Status::Ok());
+  auto run_chunk = [&](size_t i) {
+    const Chunk& c = chunks[i];
+    uint64_t first = BlockOf(c.off);
+    uint64_t end = BlockEnd(c.off, c.len);
+    Writer w = StoreBody(cv.fid, c.off,
+                         std::span<const BufferSlice>(parts).subspan(first - BlockOf(offset),
+                                                                     end - first));
     auto payload = [&] {
       InflightTracker inflight(this);
-      auto t0 = std::chrono::steady_clock::now();
-      auto reply = CallVolume(cv.fid.volume, kStoreData, w, &cv.fid);
-      if (reply.ok()) {
-        note_bw(run_len, t0);
-      }
-      return reply;
+      return CallVolume(cv.fid.volume, kStoreData, w, &cv.fid);
     }();
-    bool pushed_by_revocation = false;
-    for (int attempt = 0; attempt < 8 && payload.code() == ErrorCode::kConflict; ++attempt) {
-      // Our write token is gone: the server restarted, or a peer's grant
-      // revoked it while this store was on the wire. In the latter case the
-      // revocation handler's pre-authorized store-back may have pushed this
-      // very run already — if nothing in the run is dirty any more, the data
-      // is at the server and there is nothing left to store. Otherwise
-      // re-acquire and retry (bounded, like Read/Write's grant loops, so a
-      // storm of reader grants cannot starve the store on one bounce); dirty
-      // blocks are immune to the refetch, so no local data is lost.
-      {
-        OrderedLockGuard low(cv.low);
+    if (!payload.ok()) {
+      statuses[i] = payload.status();
+      return;
+    }
+    Reader r(*payload);
+    auto sync = ReadSyncInfo(r);
+    if (!sync.ok()) {
+      statuses[i] = sync.status();
+      return;
+    }
+    OrderedLockGuard low(cv.low);
+    for (uint64_t b = first; b < end; ++b) {
+      cv.dirty_blocks.erase(b);
+    }
+    if (cv.dirty_blocks.empty()) {
+      cv.attr_dirty = false;  // the server has everything; its attr rules again
+    }
+    PersistMarkCleanLocked(cv, first, end - 1, *sync);
+    MergeSyncLocked(cv, *sync);
+    JournalAttrLocked(cv);
+    statuses[i] = Status::Ok();
+  };
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(chunks.size());
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    tasks.push_back([&run_chunk, i] { run_chunk(i); });
+  }
+  RunDataTasks(tasks);
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    // kConflict: our write token is gone — the server restarted, or a peer's
+    // grant revoked it while the chunk was on the wire. In the latter case
+    // the revocation handler's pre-authorized store-back may have pushed the
+    // chunk already: if none of its blocks is dirty any more, the server has
+    // that data and the chunk counts as stored. The rest re-acquire the token
+    // in one refetch covering the whole run and retry (bounded, like
+    // Read/Write's grant loops, so a storm of reader grants cannot starve the
+    // store on one bounce); dirty blocks are immune to the refetch, so no
+    // local data is lost.
+    std::vector<size_t> retry_idx;
+    {
+      OrderedLockGuard low(cv.low);
+      for (size_t i = 0; i < chunks.size(); ++i) {
+        if (statuses[i].code() != ErrorCode::kConflict) {
+          continue;
+        }
         bool still_dirty = false;
-        for (uint64_t b : blocks) {
+        for (uint64_t b = BlockOf(chunks[i].off); b < BlockEnd(chunks[i].off, chunks[i].len);
+             ++b) {
           if (cv.dirty_blocks.count(b) != 0) {
             still_dirty = true;
             break;
           }
         }
-        pushed_by_revocation = !still_dirty;
-      }
-      if (pushed_by_revocation) {
-        break;
-      }
-      Status refetch = FetchAndInstall(
-          cv, offset, run_len,
-          kTokenDataRead | kTokenDataWrite | kTokenStatusRead | kTokenStatusWrite);
-      if (!refetch.ok()) {
-        if (refetch.code() == ErrorCode::kTimedOut) {
-          continue;  // the grant lost a deferred-revocation cycle; retry
-        }
-        payload = refetch;
-        break;
-      }
-      InflightTracker inflight(this);
-      payload = CallVolume(cv.fid.volume, kStoreData, w, &cv.fid);
-    }
-    if (pushed_by_revocation) {
-      store_result = Status::Ok();
-    } else if (payload.ok()) {
-      Reader r(*payload);
-      auto sync = ReadSyncInfo(r);
-      if (!sync.ok()) {
-        return sync.status();
-      }
-      OrderedLockGuard low(cv.low);
-      for (uint64_t b : blocks) {
-        cv.dirty_blocks.erase(b);
-      }
-      if (cv.dirty_blocks.empty()) {
-        cv.attr_dirty = false;
-      }
-      PersistMarkCleanLocked(cv, blocks.front(), blocks.back(), *sync);
-      MergeSyncLocked(cv, *sync);
-      JournalAttrLocked(cv);
-      store_result = Status::Ok();
-    } else {
-      store_result = payload.status();
-    }
-  } else {
-    // Parallel bulk store: the run drains as concurrent block-aligned chunk
-    // RPCs. Each chunk is all-or-retry — a successful chunk's blocks come off
-    // the dirty set immediately (the server has them), and the sync infos
-    // merge correctly in any completion order under the stamp rule.
-    {
-      MutexLock lock(mu_);
-      stats_.bulk_rpcs_split += 1;
-    }
-    uint64_t chunk_bytes = std::max<uint64_t>(kBlockSize, limit / kBlockSize * kBlockSize);
-    struct Chunk {
-      size_t pos;
-      size_t len;
-    };
-    std::vector<Chunk> chunks;
-    for (size_t pos = 0; pos < run_len; pos += chunk_bytes) {
-      chunks.push_back({pos, std::min<size_t>(chunk_bytes, run_len - pos)});
-    }
-    std::vector<Status> statuses(chunks.size(), Status::Ok());
-    auto run_chunk = [&](size_t i) {
-      const Chunk& c = chunks[i];
-      uint64_t coff = offset + c.pos;
-      Writer w;
-      PutFid(w, cv.fid);
-      w.PutU64(coff);
-      w.PutU32(static_cast<uint32_t>((c.len + kBlockSize - 1) / kBlockSize));
-      for (size_t j = c.pos / kBlockSize; j * kBlockSize < c.pos + c.len; ++j) {
-        w.PutSlice(parts[j]);
-      }
-      auto payload = [&] {
-        InflightTracker inflight(this);
-        auto t0 = std::chrono::steady_clock::now();
-        auto reply = CallVolume(cv.fid.volume, kStoreData, w, &cv.fid);
-        if (reply.ok()) {
-          note_bw(c.len, t0);
-        }
-        return reply;
-      }();
-      if (!payload.ok()) {
-        statuses[i] = payload.status();
-        return;
-      }
-      Reader r(*payload);
-      auto sync = ReadSyncInfo(r);
-      if (!sync.ok()) {
-        statuses[i] = sync.status();
-        return;
-      }
-      OrderedLockGuard low(cv.low);
-      for (uint64_t b = coff / kBlockSize; b * kBlockSize < coff + c.len; ++b) {
-        cv.dirty_blocks.erase(b);
-      }
-      if (cv.dirty_blocks.empty()) {
-        cv.attr_dirty = false;
-      }
-      PersistMarkCleanLocked(cv, coff / kBlockSize, (coff + c.len - 1) / kBlockSize, *sync);
-      MergeSyncLocked(cv, *sync);
-      JournalAttrLocked(cv);
-      statuses[i] = Status::Ok();
-    };
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(chunks.size());
-    for (size_t i = 0; i < chunks.size(); ++i) {
-      tasks.push_back([&run_chunk, i] { run_chunk(i); });
-    }
-    RunDataTasks(tasks);
-    for (int attempt = 0; attempt < 8; ++attempt) {
-      // Conflicted chunks whose blocks went clean in the meantime were pushed
-      // by a concurrent revocation store-back — the server has that data, so
-      // they count as stored. For the rest, one token-refetch round covering
-      // the whole run, then retry only the chunks that still need it (the
-      // bulk analogue of the single-RPC bounded conflict loop above).
-      {
-        OrderedLockGuard low(cv.low);
-        for (size_t i = 0; i < chunks.size(); ++i) {
-          if (statuses[i].code() != ErrorCode::kConflict) {
-            continue;
-          }
-          uint64_t coff = offset + chunks[i].pos;
-          bool still_dirty = false;
-          for (uint64_t b = coff / kBlockSize; b * kBlockSize < coff + chunks[i].len; ++b) {
-            if (cv.dirty_blocks.count(b) != 0) {
-              still_dirty = true;
-              break;
-            }
-          }
-          if (!still_dirty) {
-            statuses[i] = Status::Ok();
-          }
-        }
-      }
-      std::vector<size_t> retry_idx;
-      for (size_t i = 0; i < chunks.size(); ++i) {
-        if (statuses[i].code() == ErrorCode::kConflict) {
+        if (still_dirty) {
           retry_idx.push_back(i);
+        } else {
+          statuses[i] = Status::Ok();
         }
       }
-      if (retry_idx.empty()) {
-        break;
-      }
-      Status refetch = FetchAndInstall(
-          cv, offset, run_len,
-          kTokenDataRead | kTokenDataWrite | kTokenStatusRead | kTokenStatusWrite);
-      if (!refetch.ok()) {
-        if (refetch.code() == ErrorCode::kTimedOut) {
-          continue;  // the grant lost a deferred-revocation cycle; retry
-        }
-        for (size_t i : retry_idx) {
-          statuses[i] = refetch;
-        }
-        break;
-      }
-      std::vector<std::function<void()>> retries;
-      retries.reserve(retry_idx.size());
-      for (size_t i : retry_idx) {
-        retries.push_back([&run_chunk, i] { run_chunk(i); });
-      }
-      RunDataTasks(retries);
     }
-    for (const Status& s : statuses) {  // first error in chunk order wins
-      if (!s.ok()) {
-        store_result = s;
-        break;
+    if (retry_idx.empty()) {
+      break;
+    }
+    Status refetch = FetchAndInstall(
+        cv, offset, run_len,
+        kTokenDataRead | kTokenDataWrite | kTokenStatusRead | kTokenStatusWrite);
+    if (!refetch.ok()) {
+      if (refetch.code() == ErrorCode::kTimedOut) {
+        continue;  // the grant lost a deferred-revocation cycle; retry
       }
+      for (size_t i : retry_idx) {
+        statuses[i] = refetch;
+      }
+      break;
+    }
+    std::vector<std::function<void()>> retries;
+    retries.reserve(retry_idx.size());
+    for (size_t i : retry_idx) {
+      retries.push_back([&run_chunk, i] { run_chunk(i); });
+    }
+    RunDataTasks(retries);
+  }
+  Status store_result = Status::Ok();
+  for (const Status& s : statuses) {  // first error in chunk order wins
+    if (!s.ok()) {
+      store_result = s;
+      break;
     }
   }
   if (store_result.code() == ErrorCode::kStale) {
@@ -2066,31 +1943,20 @@ void CacheManager::KeepAlivePass() {
   }
   // Pipelined pings: issue one kKeepAlive per server before waiting for any
   // reply, so a slow (or dead) server does not delay the others' renewals.
-  // Each ping is timed issue-to-reply: a keep-alive carries no payload, so
-  // the elapsed wall time is a clean RTT sample for adaptive RPC sizing.
   std::vector<Network::PendingCall> pings;
-  std::vector<std::chrono::steady_clock::time_point> issued;
   pings.reserve(servers.size());
-  issued.reserve(servers.size());
   for (NodeId server : servers) {
     Writer w;
     {
       MutexLock lock(mu_);
       stats_.keepalives_sent += 1;
     }
-    issued.push_back(std::chrono::steady_clock::now());
     pings.push_back(network_.CallAsync(options_.node, server, kKeepAlive, w.data(),
                                        ticket_.principal, EpochFor(server)));
   }
   for (size_t i = 0; i < servers.size(); ++i) {
     NodeId server = servers[i];
     auto payload = UnwrapReply(pings[i].Wait());
-    if (payload.ok()) {
-      NoteRttSample(server,
-                    static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                              std::chrono::steady_clock::now() - issued[i])
-                                              .count()));
-    }
     if (!payload.ok()) {
       if (payload.code() == ErrorCode::kAuthFailed ||
           payload.code() == ErrorCode::kStaleEpoch) {
@@ -2129,61 +1995,6 @@ void CacheManager::MaybeCheckpointJournal() {
     MutexLock lock(mu_);
     stats_.journal_checkpoints += 1;
   }
-}
-
-// --- adaptive RPC sizing ---
-
-uint64_t CacheManager::EffectiveMaxRpcBytes(uint64_t volume) {
-  if (!options_.adaptive_rpc_sizing) {
-    return options_.max_rpc_bytes;
-  }
-  auto loc = vldb_.Peek(volume);
-  if (!loc.has_value()) {
-    return options_.max_rpc_bytes;
-  }
-  MutexLock lock(mu_);
-  auto it = link_estimates_.find(loc->server);
-  if (it == link_estimates_.end() || it->second.rtt_us <= 0 ||
-      it->second.bytes_per_sec <= 0) {
-    return options_.max_rpc_bytes;  // no estimate yet: the static limit rules
-  }
-  // Chunk near the link's bandwidth-delay product (goodput x RTT), with
-  // headroom so the parallel sub-range RPCs keep the pipe full; round to
-  // blocks and clamp to [one block, the static cap].
-  double bdp = it->second.bytes_per_sec * (it->second.rtt_us / 1e6);
-  uint64_t limit = static_cast<uint64_t>(bdp * kAdaptiveHeadroom);
-  limit = std::max<uint64_t>(limit / kBlockSize * kBlockSize, kBlockSize);
-  if (options_.max_rpc_bytes > 0) {
-    limit = std::min<uint64_t>(limit, options_.max_rpc_bytes);
-  }
-  if (limit != it->second.last_limit) {
-    it->second.last_limit = limit;
-    stats_.adaptive_resizes += 1;
-  }
-  return limit;
-}
-
-void CacheManager::NoteRttSample(NodeId server, uint64_t rtt_us) {
-  if (!options_.adaptive_rpc_sizing || rtt_us == 0) {
-    return;
-  }
-  MutexLock lock(mu_);
-  LinkEstimate& e = link_estimates_[server];
-  double sample = static_cast<double>(rtt_us);
-  e.rtt_us = e.rtt_us == 0 ? sample : e.rtt_us + kEwmaAlpha * (sample - e.rtt_us);
-}
-
-void CacheManager::NoteBandwidthSample(NodeId server, uint64_t bytes, uint64_t wall_us) {
-  if (!options_.adaptive_rpc_sizing || bytes == 0 || wall_us == 0) {
-    return;
-  }
-  MutexLock lock(mu_);
-  LinkEstimate& e = link_estimates_[server];
-  // bytes / wall includes the RTT legs, so the sample understates the link's
-  // raw throughput — conservative in the right direction for chunk sizing.
-  double sample = static_cast<double>(bytes) / (static_cast<double>(wall_us) / 1e6);
-  e.bytes_per_sec =
-      e.bytes_per_sec == 0 ? sample : e.bytes_per_sec + kEwmaAlpha * (sample - e.bytes_per_sec);
 }
 
 Status CacheManager::SyncAll() {

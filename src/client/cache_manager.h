@@ -113,18 +113,11 @@ class CacheManager : public RpcHandler {
     // confirmed window up to max.
     uint32_t readahead_min_blocks = 4;
     uint32_t readahead_max_blocks = 64;
-    // Parallel bulk transfer: a fetch or store larger than this is split
-    // into block-aligned sub-ranges issued concurrently on the prefetch pool
-    // and merged under the cvnode low lock. 0 (the default) = unlimited, the
-    // legacy one-RPC-per-transfer behaviour.
+    // Parallel bulk transfer: a fetch or store larger than this is cut into
+    // block-aligned chunks issued concurrently on the prefetch pool and
+    // merged under the cvnode low lock. 0 (the default) = unlimited: every
+    // transfer is one chunk.
     uint64_t max_rpc_bytes = 0;
-    // Adaptive RPC sizing: size bulk-transfer chunks near each server link's
-    // measured bandwidth-delay product instead of the static max_rpc_bytes
-    // (which stays as the upper cap). RTT comes from timed keep-alive pings,
-    // throughput from an EWMA over data RPCs — so the keep-alive daemon must
-    // be running for the estimate to form; until both samples exist the
-    // static limit applies. Off by default.
-    bool adaptive_rpc_sizing = false;
     // Background write-behind: a flusher daemon pushes dirty blocks toward
     // the server during idle time, so the writeback a token revocation must
     // perform shrinks to the residual delta. Off by default — callers that
@@ -223,8 +216,6 @@ class CacheManager : public RpcHandler {
     // Whole-range overwrites that took the token-only kFetchData grant
     // instead of fetching bytes they were about to clobber.
     uint64_t token_only_grants = 0;
-    // Adaptive RPC sizing: recomputations that changed the effective limit.
-    uint64_t adaptive_resizes = 0;
   };
 
   CacheManager(Network& network, std::vector<NodeId> vldb_nodes, Ticket ticket,
@@ -382,6 +373,11 @@ class CacheManager : public RpcHandler {
       REQUIRES(cv.low);
   Status StoreDirtyRangeLocked(CVnode& cv, const ByteRange& range, bool revocation_path)
       REQUIRES(cv.low);
+  // The cached blocks of the dirty run of `run_len` bytes starting at block
+  // `first`, one slice per block (a block the store lost goes out as zeros),
+  // charged to bytes_moved/bytes_copied.
+  std::vector<BufferSlice> RunSlicesLocked(CVnode& cv, uint64_t first, uint64_t run_len)
+      REQUIRES(cv.low);
   // Pushes the first contiguous dirty run to the server. Returns true if a
   // run was pushed, false when no dirty data remains. Takes (and drops)
   // cv.low around the run itself. `background` attributes the store to the
@@ -420,15 +416,15 @@ class CacheManager : public RpcHandler {
   // operation that requested the token is entitled to complete under it —
   // otherwise a storm of conflicting peers livelocks the requester. (Being a
   // lambda, its body must AssertHeld cv.low rather than rely on REQUIRES.)
-  // Ranges larger than Options::max_rpc_bytes are split into block-aligned
-  // sub-range RPCs merged under `low`. The token-carrying first chunk is a
-  // barrier — it completes before the tokenless data chunks go out
-  // concurrently, so every data chunk reads under a token conflicting
-  // writers must revoke (first error by chunk order wins; a failed op
-  // uninstalls the blocks it freshly installed).
+  // The range goes out as block-aligned chunks of Options::max_rpc_bytes (one
+  // chunk when that is 0 or the range fits) merged under `low`. The
+  // token-carrying first chunk is a barrier — it completes before the
+  // tokenless data chunks go out concurrently, so every data chunk reads
+  // under a token conflicting writers must revoke (first error by chunk
+  // order wins; a failed op uninstalls the blocks it freshly installed).
   // `token_only` asks the server for the grant + sync info without the data
   // bytes (kFetchFlagTokenOnly): used by whole-range overwrites, which would
-  // clobber every byte they fetched. A token-only fetch is never split.
+  // clobber every byte they fetched. A token-only fetch is one chunk.
   Status FetchAndInstall(CVnode& cv, uint64_t offset, size_t len, uint32_t want_types,
                          const std::function<void()>& after_install = nullptr,
                          bool token_only = false)
@@ -479,24 +475,6 @@ class CacheManager : public RpcHandler {
   };
   ByteRange TokenRangeFor(uint64_t offset, size_t len) const;
   Status EnsureStatus(CVnode& cv) REQUIRES(cv.high) EXCLUDES(cv.low);
-
-  // --- adaptive RPC sizing ---
-  // Per-server link estimate: RTT from timed keep-alive pings, goodput from
-  // data-RPC samples, both EWMAs (alpha 0.25). The effective chunk limit is
-  // the bandwidth-delay product times a pipelining headroom factor, rounded
-  // to blocks and clamped to [kBlockSize, Options::max_rpc_bytes].
-  struct LinkEstimate {
-    double rtt_us = 0;
-    double bytes_per_sec = 0;
-    uint64_t last_limit = 0;
-  };
-  // The bulk-transfer split limit for the server owning `volume`:
-  // Options::max_rpc_bytes unless adaptive sizing is on and both estimates
-  // exist. Never issues an RPC beyond the location-cache lookup the data
-  // call itself would make.
-  uint64_t EffectiveMaxRpcBytes(uint64_t volume);
-  void NoteRttSample(NodeId server, uint64_t rtt_us);
-  void NoteBandwidthSample(NodeId server, uint64_t bytes, uint64_t wall_us);
 
   Status ReturnToken(const Fid& fid, TokenId id, uint32_t types);
 
@@ -577,8 +555,6 @@ class CacheManager : public RpcHandler {
   // Write-behind dirty list: fid -> steady-clock ms when it first went dirty.
   // The flusher walks this instead of scanning every cvnode.
   std::unordered_map<Fid, uint64_t, FidHash> dirty_since_ GUARDED_BY(mu_);
-  // Adaptive RPC sizing estimates, one per connected server.
-  std::map<NodeId, LinkEstimate> link_estimates_ GUARDED_BY(mu_);
   uint64_t next_tag_ GUARDED_BY(mu_) = 1;
   Stats stats_ GUARDED_BY(mu_);
   // Nanoseconds (network virtual clock) of the last successful server
@@ -653,10 +629,11 @@ class DfsVnode : public Vnode {
 
   Result<FileAttr> GetAttr() override;
   Status SetAttr(const AttrUpdate& update) override;
+  // ReadSlices plus one copy-out into `out`.
   Result<size_t> Read(uint64_t offset, std::span<uint8_t> out) override;
   // Zero-copy read: serves ref-counted block slices straight out of the cache
-  // store (no copy at all over MemoryCacheStore). Same token/fetch semantics
-  // as Read.
+  // store (no copy at all over MemoryCacheStore), fetching under data and
+  // status read tokens on a miss.
   Result<std::vector<BufferSlice>> ReadSlices(uint64_t offset, size_t len) override;
   Result<size_t> Write(uint64_t offset, std::span<const uint8_t> data) override;
   Status Truncate(uint64_t new_size) override;

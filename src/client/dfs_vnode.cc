@@ -133,104 +133,17 @@ Status DfsVnode::SetAttr(const AttrUpdate& update) {
 }
 
 Result<size_t> DfsVnode::Read(uint64_t offset, std::span<uint8_t> out) {
-  auto cv = cm_->GetCVnode(fid_);
-  cm_->MaybeEvict();  // before any cvnode lock: eviction locks victims itself
-  OrderedLockGuard high(cv->high);
-
-  // Requires cv->low to be held by the caller.
-  auto try_local_locked = [&]() -> Result<size_t> {
-    cv->low.AssertHeld();  // callers hold it; lambdas are analyzed alone
-    ByteRange want{offset, offset + out.size()};
-    if (!cv->attr_valid ||
-        !cm_->HasTokenLocked(*cv, kTokenStatusRead | kTokenDataRead, want)) {
-      return Status(ErrorCode::kNotFound, "tokens missing");
-    }
-    if (offset >= cv->attr.size) {
-      return size_t{0};
-    }
-    size_t n = static_cast<size_t>(std::min<uint64_t>(out.size(), cv->attr.size - offset));
-    for (uint64_t b = BlockOf(offset); b < BlockEnd(offset, n); ++b) {
-      if (cv->cached_blocks.count(b) == 0) {
-        return Status(ErrorCode::kNotFound, "block missing");
-      }
-    }
-    bool from_prefetch = false;
-    for (uint64_t b = BlockOf(offset); b < BlockEnd(offset, n); ++b) {
-      uint64_t bstart = b * kBlockSize;
-      uint64_t copy_from = std::max(offset, bstart);
-      uint64_t copy_to = std::min(offset + n, bstart + kBlockSize);
-      // One copy, straight from the store's shared region into the caller's
-      // buffer — the span interface's mandatory copy-out (ReadSlices avoids
-      // even this one).
-      ASSIGN_OR_RETURN(BufferSlice block,
-                       cm_->store_->GetSlice(fid_, b, static_cast<size_t>(copy_to - bstart)));
-      std::memcpy(out.data() + (copy_from - offset), block.data() + (copy_from - bstart),
-                  copy_to - copy_from);
-      from_prefetch = cv->prefetched_blocks.erase(b) != 0 || from_prefetch;
-    }
-    {
-      MutexLock lock(cm_->mu_);
-      if (from_prefetch) {
-        cm_->stats_.prefetch_hits += 1;
-      }
-      cm_->stats_.bytes_copied += n;
-    }
-    cv->last_read_end = offset + n;
-    return n;
-  };
-
-  // Sequential-stream hint, observed before try_local moves last_read_end.
-  bool sequential;
-  {
-    Result<size_t> local = Status(ErrorCode::kNotFound, "not tried");
-    {
-      OrderedLockGuard low(cv->low);
-      sequential = offset == cv->last_read_end && offset != 0;
-      local = try_local_locked();
-    }
-    if (local.ok()) {
-      {
-        MutexLock lock(cm_->mu_);
-        cm_->stats_.data_cache_hits += 1;
-      }
-      cm_->MaybeStartPrefetch(cv, offset, *local, sequential);
-      return local;
-    }
+  ASSIGN_OR_RETURN(std::vector<BufferSlice> slices, ReadSlices(offset, out.size()));
+  // The span interface's one mandatory copy-out. Slices are immutable
+  // regions, so it runs with no cvnode lock held.
+  size_t n = 0;
+  for (const BufferSlice& s : slices) {
+    std::memcpy(out.data() + n, s.data(), s.size());
+    n += s.size();
   }
-  {
-    MutexLock lock(cm_->mu_);
-    cm_->stats_.data_cache_misses += 1;
-  }
-  // Sequential reads fetch ahead. With the background prefetcher off, the
-  // legacy synchronous path inflates the foreground fetch (and its token
-  // range) past the asked-for bytes so the next reads are local; with it on,
-  // the fetch stays exact and the readahead runs off the critical path.
-  size_t fetch_len = std::max<size_t>(out.size(), 1);
-  if (!cm_->prefetcher_->enabled() && cm_->options_.readahead_blocks > 0 && sequential) {
-    fetch_len += static_cast<size_t>(cm_->options_.readahead_blocks) * kBlockSize;
-  }
-  // Fetch and copy out *while processing the reply*: the grant is serialized
-  // before any queued revocation (Section 6.3), so the read completes under
-  // it even when conflicting writers are hammering the file.
-  Result<size_t> applied = Status(ErrorCode::kConflict, "read raced with revocations");
-  for (int attempt = 0; attempt < 8 && !applied.ok(); ++attempt) {
-    Status fetch = cm_->FetchAndInstall(*cv, offset, fetch_len,
-                                        kTokenDataRead | kTokenStatusRead,
-                                        [&] { applied = try_local_locked(); });
-    if (!fetch.ok()) {
-      // A timed-out grant lost a revocation cycle (our own in-flight fetch
-      // deferred the revocation the peer's grant was waiting on, or vice
-      // versa); the fetch's completion just drained our queue, so retry.
-      if (fetch.code() == ErrorCode::kTimedOut && attempt + 1 < 8) {
-        continue;
-      }
-      return fetch;
-    }
-  }
-  if (applied.ok()) {
-    cm_->MaybeStartPrefetch(cv, offset, *applied, sequential);
-  }
-  return applied;
+  MutexLock lock(cm_->mu_);
+  cm_->stats_.bytes_copied += n;
+  return n;
 }
 
 Result<std::vector<BufferSlice>> DfsVnode::ReadSlices(uint64_t offset, size_t len) {
@@ -238,10 +151,10 @@ Result<std::vector<BufferSlice>> DfsVnode::ReadSlices(uint64_t offset, size_t le
   cm_->MaybeEvict();  // before any cvnode lock: eviction locks victims itself
   OrderedLockGuard high(cv->high);
 
-  // Same contract as Read's try_local_locked, but the blocks come back as
-  // sub-slices of the store's shared regions: zero copies over a sharing
-  // store. The slices stay valid past eviction/overwrite — regions are
-  // immutable and writers publish new ones.
+  // Serves the range from the cache when the tokens and every block are
+  // present. The blocks come back as sub-slices of the store's shared
+  // regions: zero copies over a sharing store. The slices stay valid past
+  // eviction/overwrite — regions are immutable and writers publish new ones.
   auto try_local_locked = [&]() -> Result<std::vector<BufferSlice>> {
     cv->low.AssertHeld();  // callers hold it; lambdas are analyzed alone
     ByteRange want{offset, offset + len};
@@ -308,10 +221,17 @@ Result<std::vector<BufferSlice>> DfsVnode::ReadSlices(uint64_t offset, size_t le
     MutexLock lock(cm_->mu_);
     cm_->stats_.data_cache_misses += 1;
   }
+  // Sequential reads fetch ahead. With the background prefetcher off, the
+  // synchronous path inflates the foreground fetch (and its token range) past
+  // the asked-for bytes so the next reads are local; with it on, the fetch
+  // stays exact and the readahead runs off the critical path.
   size_t fetch_len = std::max<size_t>(len, 1);
   if (!cm_->prefetcher_->enabled() && cm_->options_.readahead_blocks > 0 && sequential) {
     fetch_len += static_cast<size_t>(cm_->options_.readahead_blocks) * kBlockSize;
   }
+  // Fetch and take the slices *while processing the reply*: the grant is
+  // serialized before any queued revocation (Section 6.3), so the read
+  // completes under it even when conflicting writers are hammering the file.
   Result<std::vector<BufferSlice>> applied =
       Status(ErrorCode::kConflict, "read raced with revocations");
   for (int attempt = 0; attempt < 8 && !applied.ok(); ++attempt) {
@@ -319,6 +239,9 @@ Result<std::vector<BufferSlice>> DfsVnode::ReadSlices(uint64_t offset, size_t le
                                         kTokenDataRead | kTokenStatusRead,
                                         [&] { applied = try_local_locked(); });
     if (!fetch.ok()) {
+      // A timed-out grant lost a revocation cycle (our own in-flight fetch
+      // deferred the revocation the peer's grant was waiting on, or vice
+      // versa); the fetch's completion just drained our queue, so retry.
       if (fetch.code() == ErrorCode::kTimedOut && attempt + 1 < 8) {
         continue;
       }
@@ -450,8 +373,8 @@ Result<size_t> DfsVnode::Write(uint64_t offset, std::span<const uint8_t> data) {
                                         write_tokens, [&] { applied = apply_locked(); },
                                         token_only);
     if (!fetch.ok()) {
-      // Same retry rule as Read: a timed-out grant means we lost a deferred-
-      // revocation cycle, and completing this fetch drained our queue.
+      // Same retry rule as ReadSlices: a timed-out grant means we lost a
+      // deferred-revocation cycle, and completing this fetch drained our queue.
       if (fetch.code() == ErrorCode::kTimedOut && attempt + 1 < 8) {
         continue;
       }

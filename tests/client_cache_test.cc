@@ -144,6 +144,46 @@ TEST(ClientCacheTest, ReturnAllTokensDropsCachesAndServerState) {
   EXPECT_EQ(std::string(buf.begin(), buf.end()), "tokenized");
 }
 
+TEST(ClientCacheTest, ReadTokenRevocationKeepsDirtyBlocks) {
+  // A's read token covers blocks 0-7; its write of block 2 rides a separate
+  // write token. B's write of block 6 revokes only the read token, which must
+  // not take A's still-dirty block 2 with it.
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  CacheManager* a = rig->NewClient("alice");
+  CacheManager* b = rig->NewClient("bob");
+  ASSERT_OK_AND_ASSIGN(VfsRef av, a->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(VfsRef bv, b->MountVolume("home"));
+  ASSERT_OK(CreateFileAt(*av, "/mixed", 0666, TestCred()).status());
+  ASSERT_OK(WriteFileAt(*av, "/mixed", std::string(8 * kBlockSize, '.'), TestCred()));
+  ASSERT_OK(a->SyncAll());
+  ASSERT_OK(a->ReturnAllTokens());
+  ASSERT_OK_AND_ASSIGN(VnodeRef af, ResolvePath(*av, "/mixed"));
+  ASSERT_OK_AND_ASSIGN(VnodeRef bf, ResolvePath(*bv, "/mixed"));
+
+  std::vector<uint8_t> all(8 * kBlockSize);
+  ASSERT_OK_AND_ASSIGN(size_t n, af->Read(0, all));
+  ASSERT_EQ(n, all.size());
+  ASSERT_OK(af->Write(2 * kBlockSize, std::vector<uint8_t>(kBlockSize, 'A')).status());
+  uint64_t revocations = a->stats().revocations_handled;
+  ASSERT_OK(bf->Write(6 * kBlockSize, std::vector<uint8_t>(kBlockSize, 'B')).status());
+  ASSERT_GT(a->stats().revocations_handled, revocations) << "B's write must revoke A's read";
+
+  std::vector<uint8_t> block(kBlockSize);
+  ASSERT_OK_AND_ASSIGN(n, af->Read(2 * kBlockSize, block));
+  ASSERT_EQ(n, kBlockSize);
+  EXPECT_EQ(block, std::vector<uint8_t>(kBlockSize, 'A'));
+
+  ASSERT_OK(a->Fsync(af->fid()));
+  CacheManager* c = rig->NewClient("root");
+  ASSERT_OK_AND_ASSIGN(VfsRef cv, c->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(std::string back, ReadFileAt(*cv, "/mixed"));
+  ASSERT_EQ(back.size(), 8 * kBlockSize);
+  EXPECT_EQ(back.substr(2 * kBlockSize, kBlockSize), std::string(kBlockSize, 'A'));
+  EXPECT_EQ(back.substr(6 * kBlockSize, kBlockSize), std::string(kBlockSize, 'B'));
+  EXPECT_EQ(back.substr(0, kBlockSize), std::string(kBlockSize, '.'));
+}
+
 TEST(ClientCacheTest, ListingCachedUnderStatusToken) {
   auto rig = DfsRig::Create();
   ASSERT_NE(rig, nullptr);

@@ -5,6 +5,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +32,70 @@ void SeedFile(DfsRig& rig, const std::string& path, uint64_t blocks, char fill) 
   ASSERT_OK(setup->SyncAll());
   ASSERT_OK(setup->ReturnAllTokens());
 }
+
+// Stands in front of the rig's file server on the network so a test can
+// hold or fail chosen requests before the server sees them. The server gets
+// its own registration back when the gate goes away.
+class ServerGate : public RpcHandler {
+ public:
+  // Runs on the server's worker thread for every request and may block.
+  // Returns an error to fail the request with, or nullopt to pass it on.
+  using Hook = std::function<std::optional<Status>(const RpcRequest&)>;
+
+  ServerGate(DfsRig& rig, Hook hook) : rig_(rig), hook_(std::move(hook)) {
+    rig_.net.UnregisterNode(kServerNode);
+    EXPECT_OK(rig_.net.RegisterNode(kServerNode, this, rig_.server_options.rpc));
+  }
+  ~ServerGate() override {
+    rig_.net.UnregisterNode(kServerNode);
+    EXPECT_OK(rig_.net.RegisterNode(kServerNode, rig_.server.get(), rig_.server_options.rpc));
+  }
+  ServerGate(const ServerGate&) = delete;
+  ServerGate& operator=(const ServerGate&) = delete;
+
+  Result<WireMessage> Handle(const RpcRequest& request) override {
+    if (std::optional<Status> failure = hook_(request)) {
+      return EncodeErrorReply(*failure);
+    }
+    return rig_.server->Handle(request);
+  }
+  bool IsRevocationPathProc(uint32_t proc) const override {
+    return rig_.server->IsRevocationPathProc(proc);
+  }
+
+ private:
+  DfsRig& rig_;
+  Hook hook_;
+};
+
+// The byte offset a kFetchData or kStoreData request starts at.
+uint64_t RequestOffset(const RpcRequest& request) {
+  Reader r(request.payload);
+  EXPECT_TRUE(ReadFid(r).ok());
+  auto offset = r.ReadU64();
+  EXPECT_TRUE(offset.ok());
+  return offset.ok() ? *offset : UINT64_MAX;
+}
+
+// A one-way latch with a bounded wait, for hooks that park a request.
+class Latch {
+ public:
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  // False when the latch stayed shut for 5 s.
+  bool Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(5), [this] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
 
 TEST(DatapathTest, BackgroundPrefetchServesSequentialReads) {
   auto rig = DfsRig::Create();
@@ -97,13 +165,28 @@ TEST(DatapathTest, BulkFetchSplitsLargeReadsAndMergesCorrectly) {
 
   CacheManager::Options opts;
   opts.prefetch_threads = 4;
-  // 8 chunks: the token-carrying first chunk is a serial barrier, so 7 data
-  // chunks remain to overlap on 4 threads — enough that at least two are
-  // always in flight together regardless of scheduling.
+  // 8 chunks: the token-carrying first chunk is a serial barrier, then 7 data
+  // chunks overlap on 4 threads.
   opts.max_rpc_bytes = 8 * kBlockSize;
   CacheManager* reader = rig->NewClient("alice", opts);
   ASSERT_OK_AND_ASSIGN(VfsRef vfs, reader->MountVolume("home"));
   ASSERT_OK_AND_ASSIGN(VnodeRef f, ResolvePath(*vfs, "/big"));
+
+  // The server holds data chunk 1 until data chunk 2 arrives, so the two are
+  // on the wire together however the threads are scheduled.
+  Latch chunk2_arrived;
+  std::atomic<bool> chunk2_late{false};
+  ServerGate gate(*rig, [&](const RpcRequest& req) -> std::optional<Status> {
+    if (req.proc == kFetchData && req.from == reader->node()) {
+      uint64_t offset = RequestOffset(req);
+      if (offset == 16 * kBlockSize) {
+        chunk2_arrived.Open();
+      } else if (offset == 8 * kBlockSize && !chunk2_arrived.Wait()) {
+        chunk2_late = true;
+      }
+    }
+    return std::nullopt;
+  });
 
   std::vector<uint8_t> buf(kBlocks * kBlockSize);
   ASSERT_OK_AND_ASSIGN(size_t n, f->Read(0, buf));
@@ -111,6 +194,7 @@ TEST(DatapathTest, BulkFetchSplitsLargeReadsAndMergesCorrectly) {
   for (size_t i = 0; i < buf.size(); i += kBlockSize / 2) {
     ASSERT_EQ(buf[i], 'b') << "offset " << i;
   }
+  EXPECT_FALSE(chunk2_late) << "data chunk 2 never reached the server while chunk 1 was held";
   CacheManager::Stats stats = reader->stats();
   EXPECT_GE(stats.bulk_rpcs_split, 1u);
   EXPECT_GE(stats.inflight_highwater, 2u)
@@ -143,6 +227,120 @@ TEST(DatapathTest, BulkStoreSplitsLargeWritesAndReadsBack) {
   ASSERT_OK_AND_ASSIGN(std::string back, ReadFileAt(*rv, "/bigw"));
   EXPECT_EQ(back, data);
 }
+
+// One data path at both chunk sizes: max_rpc_bytes = 0 (every transfer is
+// one chunk) and 8 blocks (16-block stores and 32-block fetches split).
+class DatapathChunkTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  CacheManager::Options ClientOptions() const {
+    CacheManager::Options opts;
+    opts.prefetch_threads = 2;
+    opts.max_rpc_bytes = GetParam();
+    return opts;
+  }
+};
+
+TEST_P(DatapathChunkTest, StoreBouncedAfterRevocationStoreBackSucceeds) {
+  // A's fsync push is held at the server while B's conflicting write revokes
+  // A's write token; A's revocation store-back pushes the dirty blocks. The
+  // released push then bounces kConflict, and must count as done because
+  // its blocks are already clean.
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  constexpr uint64_t kBlocks = 16;
+  SeedFile(*rig, "/held", kBlocks, 's');
+  CacheManager* a = rig->NewClient("alice", ClientOptions());
+  CacheManager* b = rig->NewClient("bob");
+  ASSERT_OK_AND_ASSIGN(VfsRef av, a->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(VfsRef bv, b->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(VnodeRef af, ResolvePath(*av, "/held"));
+  ASSERT_OK_AND_ASSIGN(VnodeRef bf, ResolvePath(*bv, "/held"));
+  ASSERT_OK(af->Write(0, std::vector<uint8_t>(kBlocks * kBlockSize, 'A')).status());
+
+  Latch store_held;
+  Latch release;
+  std::atomic<bool> stuck{false};
+  ServerGate gate(*rig, [&](const RpcRequest& req) -> std::optional<Status> {
+    if (req.proc == kStoreData && req.from == a->node()) {
+      store_held.Open();
+      if (!release.Wait()) {
+        stuck = true;
+      }
+    }
+    return std::nullopt;
+  });
+  Status pushed = Status::Ok();
+  std::thread fsync([&] { pushed = a->Fsync(af->fid()); });
+  bool held = store_held.Wait();
+  uint64_t store_backs = a->stats().revocation_stores;
+  Status b_write =
+      held ? bf->Write((kBlocks - 1) * kBlockSize, std::vector<uint8_t>(kBlockSize, 'B')).status()
+           : Status(ErrorCode::kTimedOut, "A's store never reached the server");
+  uint64_t store_backs_after = a->stats().revocation_stores;
+  release.Open();
+  fsync.join();
+  ASSERT_OK(b_write);
+  EXPECT_GT(store_backs_after, store_backs) << "B's write must revoke A's write token";
+  EXPECT_FALSE(stuck);
+  EXPECT_OK(pushed);
+
+  CacheManager* c = rig->NewClient("root");
+  ASSERT_OK_AND_ASSIGN(VfsRef cv, c->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(std::string back, ReadFileAt(*cv, "/held"));
+  EXPECT_EQ(back, std::string((kBlocks - 1) * kBlockSize, 'A') + std::string(kBlockSize, 'B'));
+}
+
+TEST_P(DatapathChunkTest, FailedFetchLeavesCacheAsFound) {
+  // The last chunk of a cold 32-block read fails at the server. The blocks
+  // the read installed come back out; block 3, cached before the read,
+  // stays; and the next read succeeds.
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  constexpr uint64_t kBlocks = 32;
+  SeedFile(*rig, "/flaky", kBlocks, 'f');
+  CacheManager* a = rig->NewClient("alice", ClientOptions());
+  ASSERT_OK_AND_ASSIGN(VfsRef av, a->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(VnodeRef af, ResolvePath(*av, "/flaky"));
+  std::vector<uint8_t> block(kBlockSize);
+  ASSERT_OK(af->Read(3 * kBlockSize, block).status());
+
+  uint64_t fail_offset = GetParam() == 0 ? 0 : kBlocks * kBlockSize - GetParam();
+  std::atomic<bool> failed{false};
+  std::vector<uint8_t> all(kBlocks * kBlockSize);
+  {
+    ServerGate gate(*rig, [&](const RpcRequest& req) -> std::optional<Status> {
+      if (req.proc == kFetchData && req.from == a->node() &&
+          RequestOffset(req) == fail_offset && !failed.exchange(true)) {
+        return Status(ErrorCode::kIoError, "injected chunk failure");
+      }
+      return std::nullopt;
+    });
+    auto n = af->Read(0, all);
+    ASSERT_FALSE(n.ok());
+    EXPECT_EQ(n.code(), ErrorCode::kIoError);
+  }
+  ASSERT_TRUE(failed);
+
+  CacheManager::Stats before = a->stats();
+  ASSERT_OK(af->Read(3 * kBlockSize, block).status());
+  EXPECT_EQ(block[0], 'f');
+  EXPECT_EQ(a->stats().data_cache_hits, before.data_cache_hits + 1)
+      << "a block cached before the failed read must stay cached";
+  ASSERT_OK(af->Read(0, block).status());
+  EXPECT_EQ(block[0], 'f');
+  EXPECT_EQ(a->stats().data_cache_misses, before.data_cache_misses + 1)
+      << "a block the failed read installed must be rolled back";
+  ASSERT_OK_AND_ASSIGN(size_t n, af->Read(0, all));
+  ASSERT_EQ(n, all.size());
+  EXPECT_EQ(all, std::vector<uint8_t>(all.size(), 'f'));
+}
+
+INSTANTIATE_TEST_SUITE_P(ChunkSizes, DatapathChunkTest,
+                         ::testing::Values(uint64_t{0}, uint64_t{8 * kBlockSize}),
+                         [](const ::testing::TestParamInfo<uint64_t>& info) {
+                           return info.param == 0 ? std::string("OneChunk")
+                                                  : std::string("EightBlockChunks");
+                         });
 
 TEST(DatapathTest, ServerRevocationRacesInflightPrefetch) {
   // A reader streams with background readahead while a writer repeatedly
