@@ -66,6 +66,31 @@ void BM_TokenGrantReturn(benchmark::State& state) {
 }
 BENCHMARK(BM_TokenGrantReturn);
 
+// Grant+return on one file while the same volume holds state.range(0)
+// tokens of another host on other files. With the per-file conflict index
+// the cost stays flat as that population grows.
+void BM_TokenGrantWithUnrelatedTokens(benchmark::State& state) {
+  class NullHost : public TokenHost {
+   public:
+    Status Revoke(const Token&, uint32_t) override { return Status::Ok(); }
+    std::string name() const override { return "null"; }
+  };
+  TokenManager mgr;
+  NullHost a, b;
+  mgr.RegisterHost(1, &a);
+  mgr.RegisterHost(2, &b);
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    Fid other{1, 1000 + static_cast<uint64_t>(i), 1};
+    (void)mgr.Grant(2, other, kTokenDataRead | kTokenStatusRead, ByteRange::All());
+  }
+  Fid fid{1, 2, 3};
+  for (auto _ : state) {
+    auto token = mgr.Grant(1, fid, kTokenDataWrite | kTokenStatusWrite, ByteRange::All());
+    (void)mgr.Return(token->id, token->types);
+  }
+}
+BENCHMARK(BM_TokenGrantWithUnrelatedTokens)->Arg(0)->Arg(1'000)->Arg(10'000);
+
 void BM_TokenConflictingGrant(benchmark::State& state) {
   class NullHost : public TokenHost {
    public:

@@ -15,6 +15,11 @@ uint64_t BlockEnd(uint64_t offset, size_t len) {
   return (offset + len + kBlockSize - 1) / kBlockSize;
 }
 
+// Status and open tokens are whole-file guarantees; only data and lock
+// tokens carry meaningful byte ranges (Section 5.2).
+constexpr uint32_t kRangeless =
+    kTokenStatusRead | kTokenStatusWrite | kTokenOpenMask | kTokenWholeVolume;
+
 // One RPC's share of a bulk transfer.
 struct Chunk {
   uint64_t off;
@@ -215,6 +220,11 @@ CacheManager::Stats CacheManager::stats() const {
   MutexLock lock(mu_);
   Stats s = stats_;
   s.inflight_highwater = inflight_highwater_.load(std::memory_order_relaxed);
+  s.attr_cache_hits = hits_.attr_cache_hits.load(std::memory_order_relaxed);
+  s.lookup_cache_hits = hits_.lookup_cache_hits.load(std::memory_order_relaxed);
+  s.data_cache_hits = hits_.data_cache_hits.load(std::memory_order_relaxed);
+  s.data_cache_misses = hits_.data_cache_misses.load(std::memory_order_relaxed);
+  s.bytes_copied = hits_.bytes_copied.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -513,11 +523,8 @@ bool CacheManager::HasTokenLocked(CVnode& cv, uint32_t types, const ByteRange& r
       return false;
     }
   }
-  // Status and open tokens are whole-file guarantees; only data and lock
-  // tokens carry meaningful byte ranges (Section 5.2). For the rangeful
+  // Rangeless types are covered by any token carrying them. For the rangeful
   // types, several adjacent tokens compose: coverage is by union.
-  constexpr uint32_t kRangeless =
-      kTokenStatusRead | kTokenStatusWrite | kTokenOpenMask | kTokenWholeVolume;
   for (uint32_t bit = 1; bit != 0 && types != 0; bit <<= 1) {
     if ((types & bit) == 0) {
       continue;
@@ -552,6 +559,15 @@ bool CacheManager::HasTokenLocked(CVnode& cv, uint32_t types, const ByteRange& r
     types &= ~bit;
   }
   return true;
+}
+
+uint32_t CacheManager::MissingTypesLocked(CVnode& cv, uint32_t want) const {
+  for (uint32_t bit = 1; bit != 0; bit <<= 1) {
+    if ((want & bit & kRangeless) != 0 && HasTokenLocked(cv, bit, ByteRange::All())) {
+      want &= ~bit;
+    }
+  }
+  return want;
 }
 
 void CacheManager::AddTokenLocked(CVnode& cv, const Token& token) {
@@ -639,11 +655,11 @@ std::vector<BufferSlice> CacheManager::RunSlicesLocked(CVnode& cv, uint64_t firs
     parts.push_back(slice.ok() ? *std::move(slice)
                                : BufferSlice::TakeOwnership(std::vector<uint8_t>(n, 0)));
   }
+  if (!store_->SharesSlices()) {
+    Count(hits_.bytes_copied, run_len);  // GetSlice's adapter copied out of the store
+  }
   MutexLock lock(mu_);
   stats_.bytes_moved += run_len;
-  if (!store_->SharesSlices()) {
-    stats_.bytes_copied += run_len;  // GetSlice's adapter copied out of the store
-  }
   return parts;
 }
 
@@ -1019,6 +1035,7 @@ void CacheManager::TouchLru(const Fid& fid, uint64_t block) {
   }
   lru_.push_back(key);
   lru_index_[key] = std::prev(lru_.end());
+  lru_size_.store(lru_.size(), std::memory_order_relaxed);
 }
 
 void CacheManager::RemoveLru(const Fid& fid, uint64_t block) {
@@ -1028,18 +1045,16 @@ void CacheManager::RemoveLru(const Fid& fid, uint64_t block) {
   if (it != lru_index_.end()) {
     lru_.erase(it->second);
     lru_index_.erase(it);
+    lru_size_.store(lru_.size(), std::memory_order_relaxed);
   }
 }
 
 void CacheManager::MaybeEvict() {
-  size_t budget;
-  {
-    MutexLock lock(mu_);
-    if (lru_.size() <= options_.max_cached_blocks) {
-      return;
-    }
-    budget = 2 * lru_.size() + 16;  // bound: a fully dirty cache cannot spin us
+  size_t size = lru_size_.load(std::memory_order_relaxed);
+  if (size <= options_.max_cached_blocks) {
+    return;
   }
+  size_t budget = 2 * size + 16;  // bound: a fully dirty cache cannot spin us
   for (size_t step = 0; step < budget; ++step) {
     LruKey victim;
     {
@@ -1050,6 +1065,7 @@ void CacheManager::MaybeEvict() {
       victim = lru_.front();
       lru_.pop_front();
       lru_index_.erase(victim);
+      lru_size_.store(lru_.size(), std::memory_order_relaxed);
     }
     CVnodeRef cv = GetCVnode(victim.first);
     OrderedLockGuard low(cv->low);
@@ -1136,10 +1152,10 @@ Status CacheManager::InstallFetchReplyLocked(CVnode& cv, uint64_t aligned_off,
       cv.prefetched_blocks.insert(block);
     }
   }
+  Count(hits_.bytes_copied, copied);
   {
     MutexLock lock(mu_);
     stats_.bytes_moved += data.size();
-    stats_.bytes_copied += copied;
   }
   // Blocks past EOF within the fetched range are implicit zeros: cacheable.
   // A single shared zero region serves every such block (no wire bytes, no
@@ -1217,6 +1233,7 @@ Status CacheManager::FetchAndInstall(CVnode& cv, uint64_t offset, size_t len,
   {
     OrderedLockGuard low(cv.low);
     cv.rpc_in_flight += 1;
+    want_types = MissingTypesLocked(cv, want_types);
   }
 
   auto fetch = [&](size_t i, uint32_t want) -> Result<WireMessage> {
@@ -1379,6 +1396,7 @@ void CacheManager::PrefetchWindow(CVnodeRef cv, Prefetcher::Window win, uint64_t
   uint64_t off = win.start_block * kBlockSize;
   uint64_t len = uint64_t{win.blocks} * kBlockSize;
   bool cancelled = false;
+  uint32_t want = 0;
   {
     OrderedLockGuard low(cv->low);
     if (cv->prefetch_gen != gen) {
@@ -1387,6 +1405,7 @@ void CacheManager::PrefetchWindow(CVnodeRef cv, Prefetcher::Window win, uint64_t
       // Counted like any foreground fetch: revocations for tokens this very
       // RPC may be granting get queued (Section 6.3) instead of bounced.
       cv->rpc_in_flight += 1;
+      want = MissingTypesLocked(*cv, kTokenDataRead | kTokenStatusRead);
     }
   }
   if (cancelled) {
@@ -1397,8 +1416,8 @@ void CacheManager::PrefetchWindow(CVnodeRef cv, Prefetcher::Window win, uint64_t
     prefetcher_->WindowDone(cv->fid, win.start_block);
     return;
   }
-  Writer w = FetchRequest(cv->fid, off, len, kTokenDataRead | kTokenStatusRead,
-                          TokenRangeFor(off, len), /*token_only=*/false);
+  Writer w = FetchRequest(cv->fid, off, len, want, TokenRangeFor(off, len),
+                          /*token_only=*/false);
   auto payload = [&] {
     InflightTracker inflight(this);
     return CallVolume(cv->fid.volume, kFetchData, w);
@@ -1434,8 +1453,7 @@ Status CacheManager::EnsureStatus(CVnode& cv) {
   {
     OrderedLockGuard low(cv.low);
     if (cv.attr_valid && HasTokenLocked(cv, kTokenStatusRead, ByteRange::All())) {
-      MutexLock lock(mu_);
-      stats_.attr_cache_hits += 1;
+      Count(hits_.attr_cache_hits);
       return Status::Ok();
     }
     cv.rpc_in_flight += 1;

@@ -360,6 +360,10 @@ class CacheManager : public RpcHandler {
   // --- cache layer internals ---
   bool HasTokenLocked(CVnode& cv, uint32_t types, const ByteRange& range) const
       REQUIRES(cv.low);
+  // `want` minus the rangeless types (status, open, whole-volume) the cvnode
+  // already holds, so a fetch never mints a duplicate status token. Data and
+  // lock types stay whole: a store must be covered by one write token.
+  uint32_t MissingTypesLocked(CVnode& cv, uint32_t want) const REQUIRES(cv.low);
   void AddTokenLocked(CVnode& cv, const Token& token) REQUIRES(cv.low);
   // Merges a reply's SyncInfo under the stamp rule; returns true if applied.
   bool MergeSyncLocked(CVnode& cv, const SyncInfo& sync) REQUIRES(cv.low);
@@ -557,6 +561,20 @@ class CacheManager : public RpcHandler {
   std::unordered_map<Fid, uint64_t, FidHash> dirty_since_ GUARDED_BY(mu_);
   uint64_t next_tag_ GUARDED_BY(mu_) = 1;
   Stats stats_ GUARDED_BY(mu_);
+  // Hit-path counters, kept off mu_ as relaxed atomics; stats() folds them
+  // into the snapshot (the same-named stats_ fields stay 0).
+  struct HitCounters {
+    std::atomic<uint64_t> attr_cache_hits{0};
+    std::atomic<uint64_t> lookup_cache_hits{0};
+    std::atomic<uint64_t> data_cache_hits{0};
+    std::atomic<uint64_t> data_cache_misses{0};
+    std::atomic<uint64_t> bytes_copied{0};
+  };
+  // GUARD-EXEMPT: every field is a relaxed atomic.
+  HitCounters hits_;
+  static void Count(std::atomic<uint64_t>& counter, uint64_t n = 1) {
+    counter.fetch_add(n, std::memory_order_relaxed);
+  }
   // Nanoseconds (network virtual clock) of the last successful server
   // contact, for the client-side lease check. 0 until first contact.
   std::atomic<uint64_t> last_contact_ns_{0};
@@ -568,6 +586,9 @@ class CacheManager : public RpcHandler {
     }
   };
   std::list<LruKey> lru_ GUARDED_BY(mu_);  // front = least recently used
+  // lru_.size(), mirrored (under mu_) so MaybeEvict's over-capacity check is
+  // one atomic load instead of a mu_ acquisition on every operation.
+  std::atomic<size_t> lru_size_{0};
   std::unordered_map<LruKey, std::list<LruKey>::iterator, LruKeyHash> lru_index_
       GUARDED_BY(mu_);
 

@@ -90,46 +90,84 @@ std::string DiskCacheStore::NameFor(const Fid& fid) {
          std::to_string(fid.uniq);
 }
 
-Result<VnodeRef> DiskCacheStore::CacheFile(const Fid& fid, bool create) {
+Result<DiskCacheStore::CacheFile*> DiskCacheStore::OpenOrCreate(const Fid& fid) {
+  auto it = files_.find(fid);
+  if (it != files_.end()) {
+    return &it->second;
+  }
   ASSIGN_OR_RETURN(VnodeRef root, fs_->Root());
   std::string name = NameFor(fid);
-  auto existing = root->Lookup(name);
-  if (existing.ok() || !create) {
-    return existing;
+  auto created = root->Create(name, FileType::kFile, 0600, Cred{});
+  if (!created.ok() && created.code() == ErrorCode::kExists) {
+    created = root->Lookup(name);
   }
-  return root->Create(name, FileType::kFile, 0600, Cred{});
+  RETURN_IF_ERROR(created.status());
+  return &files_.emplace(fid, CacheFile{std::move(*created), {}}).first->second;
+}
+
+void DiskCacheStore::DropLocked(std::unordered_map<Fid, CacheFile, FidHash>::iterator it) {
+  for (const auto& [block, n] : it->second.blocks) {
+    bytes_ -= n;
+  }
+  Fid fid = it->first;
+  files_.erase(it);  // release the open vnode before unlinking its file
+  auto root = fs_->Root();
+  if (root.ok()) {
+    (void)(*root)->Unlink(NameFor(fid));
+  }
 }
 
 Status DiskCacheStore::Put(const Fid& fid, uint64_t block, std::span<const uint8_t> data) {
   MutexLock lock(mu_);
-  ASSIGN_OR_RETURN(VnodeRef file, CacheFile(fid, /*create=*/true));
-  ASSIGN_OR_RETURN(size_t n, file->Write(block * kBlockSize, data));
-  (void)n;
+  ASSIGN_OR_RETURN(CacheFile * file, OpenOrCreate(fid));
+  Status written = file->vnode->Write(block * kBlockSize, data).status();
+  if (!written.ok()) {
+    if (file->blocks.empty()) {
+      DropLocked(files_.find(fid));  // don't strand an empty cache file
+    }
+    return written;
+  }
+  auto [it, fresh] = file->blocks.emplace(block, data.size());
+  if (!fresh) {
+    bytes_ -= it->second;
+    it->second = data.size();
+  }
   bytes_ += data.size();
   return Status::Ok();
 }
 
 Status DiskCacheStore::Get(const Fid& fid, uint64_t block, std::span<uint8_t> out) {
   MutexLock lock(mu_);
-  ASSIGN_OR_RETURN(VnodeRef file, CacheFile(fid, /*create=*/false));
+  auto it = files_.find(fid);
+  if (it == files_.end() || it->second.blocks.count(block) == 0) {
+    return Status(ErrorCode::kNotFound, "block not in cache");
+  }
   std::memset(out.data(), 0, out.size());
-  ASSIGN_OR_RETURN(size_t n, file->Read(block * kBlockSize, out));
-  (void)n;
-  return Status::Ok();
+  return it->second.vnode->Read(block * kBlockSize, out).status();
 }
 
 void DiskCacheStore::Erase(const Fid& fid, uint64_t block) {
-  // Individual blocks stay in the cache file; validity lives with the cache
-  // manager. Nothing to reclaim at this granularity.
-  (void)fid;
-  (void)block;
+  MutexLock lock(mu_);
+  auto it = files_.find(fid);
+  if (it == files_.end()) {
+    return;
+  }
+  auto bit = it->second.blocks.find(block);
+  if (bit == it->second.blocks.end()) {
+    return;
+  }
+  bytes_ -= bit->second;
+  it->second.blocks.erase(bit);
+  if (it->second.blocks.empty()) {
+    DropLocked(it);
+  }
 }
 
 void DiskCacheStore::EraseFile(const Fid& fid) {
   MutexLock lock(mu_);
-  auto root = fs_->Root();
-  if (root.ok()) {
-    (void)(*root)->Unlink(NameFor(fid));
+  auto it = files_.find(fid);
+  if (it != files_.end()) {
+    DropLocked(it);
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <map>
 #include <memory>
+#include <unordered_map>
 
 #include "src/blockdev/block_device.h"
 #include "src/common/buffer.h"
@@ -74,7 +75,10 @@ class MemoryCacheStore : public CacheStore {
   std::map<Key, BufferSlice, KeyLess> blocks_ GUARDED_BY(mu_);
 };
 
-// Cache files live in a local FFS: one file per remote fid.
+// Cache files live in a local FFS: one file per remote fid. The store keeps
+// each cached fid's open cache-file vnode and the blocks stored in it, so a
+// Put or Get never searches the cache directory, and the cache file is
+// unlinked (its inode and blocks freed) when its last block is erased.
 class DiskCacheStore : public CacheStore {
  public:
   // Creates a cache partition of `disk_blocks` blocks on a private SimDisk.
@@ -87,8 +91,17 @@ class DiskCacheStore : public CacheStore {
   uint64_t bytes_used() const override;
 
  private:
+  struct CacheFile {
+    VnodeRef vnode;
+    // Stored block -> the bytes Put wrote into it.
+    std::unordered_map<uint64_t, size_t> blocks;
+  };
+
   DiskCacheStore() = default;
-  Result<VnodeRef> CacheFile(const Fid& fid, bool create) REQUIRES(mu_);
+  // The fid's cache file, created on first use.
+  Result<CacheFile*> OpenOrCreate(const Fid& fid) REQUIRES(mu_);
+  // Unlinks the fid's cache file and forgets it.
+  void DropLocked(std::unordered_map<Fid, CacheFile, FidHash>::iterator it) REQUIRES(mu_);
   static std::string NameFor(const Fid& fid);
 
   // GUARD-EXEMPT: owned medium created once in Create(), never reseated; all
@@ -98,6 +111,7 @@ class DiskCacheStore : public CacheStore {
   // LOCK-EXEMPT(leaf): serializes cache-FFS operations; below every
   // hierarchy level (only taken from cache-manager code holding L3).
   mutable Mutex mu_;
+  std::unordered_map<Fid, CacheFile, FidHash> files_ GUARDED_BY(mu_);
   uint64_t bytes_ GUARDED_BY(mu_) = 0;
 };
 

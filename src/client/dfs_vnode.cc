@@ -141,8 +141,7 @@ Result<size_t> DfsVnode::Read(uint64_t offset, std::span<uint8_t> out) {
     std::memcpy(out.data() + n, s.data(), s.size());
     n += s.size();
   }
-  MutexLock lock(cm_->mu_);
-  cm_->stats_.bytes_copied += n;
+  CacheManager::Count(cm_->hits_.bytes_copied, n);
   return n;
 }
 
@@ -183,14 +182,12 @@ Result<std::vector<BufferSlice>> DfsVnode::ReadSlices(uint64_t offset, size_t le
           block.Sub(static_cast<size_t>(from - bstart), static_cast<size_t>(to - from)));
       from_prefetch = cv->prefetched_blocks.erase(b) != 0 || from_prefetch;
     }
-    {
+    if (from_prefetch) {
       MutexLock lock(cm_->mu_);
-      if (from_prefetch) {
-        cm_->stats_.prefetch_hits += 1;
-      }
-      if (!cm_->store_->SharesSlices()) {
-        cm_->stats_.bytes_copied += n;  // the store's adapter copied out
-      }
+      cm_->stats_.prefetch_hits += 1;
+    }
+    if (!cm_->store_->SharesSlices()) {
+      CacheManager::Count(cm_->hits_.bytes_copied, n);  // the store's adapter copied out
     }
     cv->last_read_end = offset + n;
     return slices;
@@ -205,10 +202,7 @@ Result<std::vector<BufferSlice>> DfsVnode::ReadSlices(uint64_t offset, size_t le
       local = try_local_locked();
     }
     if (local.ok()) {
-      {
-        MutexLock lock(cm_->mu_);
-        cm_->stats_.data_cache_hits += 1;
-      }
+      CacheManager::Count(cm_->hits_.data_cache_hits);
       size_t got = 0;
       for (const BufferSlice& s : *local) {
         got += s.size();
@@ -217,10 +211,7 @@ Result<std::vector<BufferSlice>> DfsVnode::ReadSlices(uint64_t offset, size_t le
       return local;
     }
   }
-  {
-    MutexLock lock(cm_->mu_);
-    cm_->stats_.data_cache_misses += 1;
-  }
+  CacheManager::Count(cm_->hits_.data_cache_misses);
   // Sequential reads fetch ahead. With the background prefetcher off, the
   // synchronous path inflates the foreground fetch (and its token range) past
   // the asked-for bytes so the next reads are local; with it on, the fetch
@@ -430,8 +421,7 @@ Result<VnodeRef> DfsVnode::Lookup(std::string_view name) {
     auto it = cv->lookup_cache.find(key);
     if (it != cv->lookup_cache.end() &&
         cm_->HasTokenLocked(*cv, kTokenStatusRead, ByteRange::All())) {
-      MutexLock lock(cm_->mu_);
-      cm_->stats_.lookup_cache_hits += 1;
+      CacheManager::Count(cm_->hits_.lookup_cache_hits);
       if (!it->second.has_value()) {
         return Status(ErrorCode::kNotFound, "no such entry (cached): " + key);
       }
@@ -566,8 +556,7 @@ Result<std::vector<DirEntry>> DfsVnode::ReadDir() {
   {
     OrderedLockGuard low(cv->low);
     if (cv->listing_valid && cm_->HasTokenLocked(*cv, kTokenStatusRead, ByteRange::All())) {
-      MutexLock lock(cm_->mu_);
-      cm_->stats_.lookup_cache_hits += 1;
+      CacheManager::Count(cm_->hits_.lookup_cache_hits);
       return cv->listing;
     }
   }

@@ -1,6 +1,7 @@
 #include "src/tokens/token_manager.h"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 
 namespace dfs {
@@ -12,6 +13,22 @@ uint64_t MixVolume(uint64_t volume) {
   volume *= 0xff51afd7ed558ccdULL;
   volume ^= volume >> 33;
   return volume;
+}
+
+// Drops `id` from the index entry under `key`, pruning the entry once it is
+// empty: files and volumes come and go (clones, moves, tests churning fids),
+// and an entry per key ever seen would grow without bound.
+template <typename Index, typename Key>
+void EraseIndexed(Index& index, const Key& key, TokenId id) {
+  auto it = index.find(key);
+  if (it == index.end()) {
+    return;
+  }
+  auto& ids = it->second;
+  ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
+  if (ids.empty()) {
+    index.erase(it);
+  }
 }
 }  // namespace
 
@@ -108,14 +125,7 @@ void TokenManager::UnregisterHost(HostId host) {
     ShardGuard lock(*shard);
     for (auto it = shard->tokens.begin(); it != shard->tokens.end();) {
       if (it->second.host == host) {
-        auto vit = shard->by_volume.find(it->second.fid.volume);
-        if (vit != shard->by_volume.end()) {
-          auto& vec = vit->second;
-          vec.erase(std::remove(vec.begin(), vec.end(), it->first), vec.end());
-          if (vec.empty()) {
-            shard->by_volume.erase(vit);
-          }
-        }
+        UnindexLocked(*shard, it->second);
         it = shard->tokens.erase(it);
       } else {
         ++it;
@@ -125,33 +135,67 @@ void TokenManager::UnregisterHost(HostId host) {
   }
 }
 
+void TokenManager::InsertTokenLocked(Shard& shard, const Token& token) {
+  shard.tokens.emplace(token.id, token);
+  shard.by_fid[token.fid].push_back(token.id);
+  if ((token.types & kTokenWholeVolume) != 0) {
+    shard.whole_volume[token.fid.volume].push_back(token.id);
+  }
+}
+
+void TokenManager::UnindexLocked(Shard& shard, const Token& token) {
+  EraseIndexed(shard.by_fid, token.fid, token.id);
+  if ((token.types & kTokenWholeVolume) != 0) {
+    EraseIndexed(shard.whole_volume, token.fid.volume, token.id);
+  }
+}
+
 std::vector<std::pair<Token, uint32_t>> TokenManager::ConflictsLocked(
     const Shard& shard, HostId host, const Fid& fid, uint32_t types,
     const ByteRange& range) const {
   std::vector<std::pair<Token, uint32_t>> conflicts;
-  auto vit = shard.by_volume.find(fid.volume);
-  if (vit == shard.by_volume.end()) {
-    return conflicts;
-  }
-  for (TokenId id : vit->second) {
-    auto tit = shard.tokens.find(id);
-    if (tit == shard.tokens.end()) {
-      continue;
-    }
-    const Token& t = tit->second;
+  auto consider = [&](TokenId id) {
+    const Token& t = shard.tokens.at(id);
     if (t.host == host) {
-      continue;  // a host never conflicts with itself
+      return;  // a host never conflicts with itself
     }
     bool same_file = (t.fid == fid);
     bool volume_scope = (t.types & kTokenWholeVolume) || (types & kTokenWholeVolume);
     if (!same_file && !volume_scope) {
-      continue;
+      return;
     }
     // Only the conflicting *types* of the token need revoking; the holder
     // keeps the rest (e.g. byte-range data tokens survive a status handoff).
     uint32_t conflicting = ConflictingTypes(t.types, t.range, types, range);
     if (conflicting != 0) {
       conflicts.push_back({t, conflicting});
+    }
+  };
+  if ((types & kTokenWholeVolume) != 0) {
+    // A whole-volume request conflicts with write-class tokens on any file.
+    for (const auto& [file, ids] : shard.by_fid) {
+      if (file.volume == fid.volume) {
+        for (TokenId id : ids) {
+          consider(id);
+        }
+      }
+    }
+    return conflicts;
+  }
+  auto fit = shard.by_fid.find(fid);
+  if (fit != shard.by_fid.end()) {
+    for (TokenId id : fit->second) {
+      consider(id);
+    }
+  }
+  auto vit = shard.whole_volume.find(fid.volume);
+  if (vit != shard.whole_volume.end()) {
+    for (TokenId id : vit->second) {
+      // A whole-volume token on the requested fid itself ({volume, 0, 0})
+      // was already seen among that fid's holders.
+      if (shard.tokens.at(id).fid != fid) {
+        consider(id);
+      }
     }
   }
   return conflicts;
@@ -167,21 +211,17 @@ void TokenManager::EraseTokenTypesLocked(Shard& shard, TokenId id, uint32_t type
   if (it == shard.tokens.end()) {
     return;
   }
-  it->second.types &= ~types;
-  if (it->second.types == 0) {
-    auto vit = shard.by_volume.find(it->second.fid.volume);
-    if (vit != shard.by_volume.end()) {
-      auto& vec = vit->second;
-      vec.erase(std::remove(vec.begin(), vec.end(), id), vec.end());
-      if (vec.empty()) {
-        // Prune the emptied volume entry: volumes come and go (clones, moves,
-        // tests churning fids), and an entry per volume ever seen would grow
-        // without bound.
-        shard.by_volume.erase(vit);
-      }
-    }
+  Token& t = it->second;
+  if (t.types == (t.types & types)) {
+    UnindexLocked(shard, t);
     shard.tokens.erase(it);
+    return;
   }
+  if ((t.types & types & kTokenWholeVolume) != 0) {
+    // The token lives on for its other types but no longer spans the volume.
+    EraseIndexed(shard.whole_volume, t.fid.volume, id);
+  }
+  t.types &= ~types;
 }
 
 TokenManager::IssueResult TokenManager::IssueRevokes(std::vector<RevokeOutcome>& outcomes) {
@@ -444,8 +484,7 @@ Result<Token> TokenManager::Grant(HostId host, const Fid& fid, uint32_t types,
           token.types = types;
           token.range = range;
           token.host = host;
-          shard.tokens.emplace(token.id, token);
-          shard.by_volume[fid.volume].push_back(token.id);
+          InsertTokenLocked(shard, token);
           shard.stats.grants += 1;
           return token;
         }
@@ -494,8 +533,7 @@ Status TokenManager::ReassertLocked(Shard& shard, const Token& token) {
     shard.stats.reassert_conflicts += 1;
     return Status(ErrorCode::kConflict, "reassertion lost to a conflicting grant");
   }
-  shard.tokens.emplace(token.id, token);
-  shard.by_volume[token.fid.volume].push_back(token.id);
+  InsertTokenLocked(shard, token);
   shard.stats.reasserts += 1;
   // Fresh grants must mint ids above every reasserted one.
   TokenId cur = next_id_.load(std::memory_order_relaxed);
@@ -538,10 +576,15 @@ std::vector<Token> TokenManager::TokensForFid(const Fid& fid) const {
   Shard& shard = ShardFor(*table, fid.volume);
   ShardGuard lock(shard);
   std::vector<Token> out;
-  for (const auto& [id, t] : shard.tokens) {
-    if (t.fid == fid) {
-      out.push_back(t);
-    }
+  auto fit = shard.by_fid.find(fid);
+  if (fit == shard.by_fid.end()) {
+    return out;
+  }
+  std::vector<TokenId> ids = fit->second;
+  std::sort(ids.begin(), ids.end());  // id order, like a scan of `tokens`
+  out.reserve(ids.size());
+  for (TokenId id : ids) {
+    out.push_back(shard.tokens.at(id));
   }
   return out;
 }
@@ -582,13 +625,15 @@ TokenManager::Stats TokenManager::stats() const {
 }
 
 size_t TokenManager::VolumeIndexEntries() const {
-  size_t n = 0;
+  std::set<uint64_t> volumes;
   auto table = SnapshotTable();
   for (const auto& shard : *table) {
     ShardGuard lock(*shard);
-    n += shard->by_volume.size();
+    for (const auto& [fid, ids] : shard->by_fid) {
+      volumes.insert(fid.volume);
+    }
   }
-  return n;
+  return volumes.size();
 }
 
 }  // namespace dfs

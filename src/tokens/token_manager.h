@@ -20,6 +20,11 @@
 //     unrelated volumes never contend. All state a single grant touches lives
 //     in one shard, because conflicts are always same-file or whole-volume —
 //     both within the granting fid's volume.
+//   - Within a shard, a per-file conflict index finds a grant's candidate
+//     conflicts: the tokens on the requested fid plus the volume's
+//     whole-volume tokens. A grant costs in proportion to that file's
+//     holders, not to the volume's token population; only a whole-volume
+//     request walks every file of its volume.
 //   - Within a grant, each re-scan round collects *all* conflicts and issues
 //     the Revoke callbacks concurrently on a bounded fan-out pool, so a
 //     write-open on a file cached by N hosts costs ~1 revocation round-trip
@@ -175,7 +180,7 @@ class TokenManager {
   void AutotuneShards(size_t volume_count);
 
   size_t shard_count() const { return SnapshotTable()->size(); }
-  // Entries in the volume->tokens secondary index, across shards. Exposed so
+  // Distinct volumes with an entry in the conflict index, across shards. Exposed so
   // tests can assert that emptied volumes are pruned rather than accumulating
   // forever across volume churn.
   size_t VolumeIndexEntries() const;
@@ -206,9 +211,11 @@ class TokenManager {
     // release/reacquire exactly.
     std::condition_variable_any returned_cv;
     std::map<TokenId, Token> tokens GUARDED_BY(mu);
-    // Secondary index: volume -> token ids (for whole-volume conflict scans).
-    // Emptied vectors are pruned.
-    std::unordered_map<uint64_t, std::vector<TokenId>> by_volume GUARDED_BY(mu);
+    // Conflict index. Every token is listed under its fid (a whole-volume
+    // token under {volume, 0, 0}); tokens that carry kTokenWholeVolume are
+    // also listed under their volume. Emptied entries are pruned.
+    std::unordered_map<Fid, std::vector<TokenId>, FidHash> by_fid GUARDED_BY(mu);
+    std::unordered_map<uint64_t, std::vector<TokenId>> whole_volume GUARDED_BY(mu);
     Stats stats GUARDED_BY(mu);
     // Set (under mu, with the shard verified empty) by AutotuneShards when it
     // swaps this shard's table out. A mutator that finds its shard retired
@@ -255,8 +262,15 @@ class TokenManager {
   static std::shared_ptr<ShardVec> MakeTable(size_t n);
   static Shard& ShardFor(const ShardVec& table, uint64_t volume);
 
+  // Adds a freshly minted or reasserted token to the shard and its index.
+  static void InsertTokenLocked(Shard& shard, const Token& token) REQUIRES(shard.mu);
+  // Drops `token` from the conflict index (not from `tokens`), pruning
+  // emptied entries.
+  static void UnindexLocked(Shard& shard, const Token& token) REQUIRES(shard.mu);
+
   // Finds tokens (and which of their types) conflicting with the proposed
-  // grant.
+  // grant. Scans the fid's holders and the volume's whole-volume tokens; a
+  // whole-volume request scans every file of the volume in the shard.
   std::vector<std::pair<Token, uint32_t>> ConflictsLocked(const Shard& shard, HostId host,
                                                           const Fid& fid, uint32_t types,
                                                           const ByteRange& range) const
@@ -264,8 +278,8 @@ class TokenManager {
   // True once the conflicting types of `id` are gone (deferred-return wait).
   bool RelinquishedLocked(const Shard& shard, TokenId id, uint32_t types) const
       REQUIRES(shard.mu);
-  // Erases `types` from token `id`, pruning the token (and its volume-index
-  // entry, and the index vector when emptied) once no types remain.
+  // Erases `types` from token `id`, pruning the token (and its index
+  // entries) once no types remain.
   void EraseTokenTypesLocked(Shard& shard, TokenId id, uint32_t types) REQUIRES(shard.mu);
   // Reassert body, once Reassert has pinned a live (non-retired) shard.
   Status ReassertLocked(Shard& shard, const Token& token) REQUIRES(shard.mu);

@@ -67,6 +67,28 @@ TYPED_TEST(CacheStoreTest, DistinctFidsAndBlocksAreIsolated) {
   EXPECT_EQ(out[0], 0xBB);
 }
 
+TYPED_TEST(CacheStoreTest, EraseKeepsOtherBlocksAndPutRecreates) {
+  auto store = MakeStore<TypeParam>();
+  Fid fid{1, 2, 3};
+  std::vector<uint8_t> block(kBlockSize, 5);
+  ASSERT_OK(store->Put(fid, 0, block));
+  ASSERT_OK(store->Put(fid, 1, block));
+  store->Erase(fid, 0);
+  std::vector<uint8_t> out(kBlockSize);
+  EXPECT_EQ(store->Get(fid, 0, out).code(), ErrorCode::kNotFound);
+  ASSERT_OK(store->Get(fid, 1, out));
+  EXPECT_EQ(out, block);
+  EXPECT_EQ(store->bytes_used(), kBlockSize);
+  // Erasing the last block drops the file (a DiskCacheStore cache file is
+  // unlinked); the next Put starts it afresh.
+  store->Erase(fid, 1);
+  EXPECT_EQ(store->Get(fid, 1, out).code(), ErrorCode::kNotFound);
+  EXPECT_EQ(store->bytes_used(), 0u);
+  ASSERT_OK(store->Put(fid, 4, block));
+  ASSERT_OK(store->Get(fid, 4, out));
+  EXPECT_EQ(out, block);
+}
+
 TYPED_TEST(CacheStoreTest, OverwriteReplaces) {
   auto store = MakeStore<TypeParam>();
   Fid fid{1, 2, 3};
@@ -94,7 +116,79 @@ TEST(MemoryCacheStoreTest, EraseAndEraseFile) {
   EXPECT_EQ(store.bytes_used(), 0u);
 }
 
+TEST(DiskCacheStoreTest, EraseFreesCacheFiles) {
+  // Regression: Erase used to leave every block (and every per-fid cache
+  // file) in the cache FFS, so a client that cached and dropped a few
+  // thousand distinct files ran out of inodes or blocks.
+  auto store = DiskCacheStore::Create(CacheManager::Options().cache_disk_blocks);
+  ASSERT_OK(store.status());
+  std::vector<uint8_t> block(kBlockSize, 7);
+  for (uint64_t i = 0; i < 10'000; ++i) {
+    Fid fid{1, 1 + i, 1};
+    Status put = (*store)->Put(fid, i % 3, block);
+    ASSERT_TRUE(put.ok()) << "cycle " << i << ": " << put.ToString();
+    (*store)->Erase(fid, i % 3);
+  }
+  EXPECT_EQ((*store)->bytes_used(), 0u);
+}
+
 // --- Cache-manager behaviour through traffic ---
+
+TEST(ClientCacheTest, CreateWriteRemoveReclaimsTheCacheDisk) {
+  // Regression: each removed file left its cached blocks and its cache file
+  // behind in the client's cache FFS; a few thousand create/remove cycles
+  // filled it (NO_SPACE).
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  CacheManager* client = rig->NewClient();
+  ASSERT_OK_AND_ASSIGN(VfsRef vfs, client->MountVolume("home"));
+  std::string data(2 * kBlockSize, 'd');
+  for (int i = 0; i < 3'000; ++i) {
+    std::string path = "/spool" + std::to_string(i);
+    SCOPED_TRACE(path);
+    ASSERT_OK(CreateFileAt(*vfs, path, 0644, TestCred()).status());
+    ASSERT_OK(WriteFileAt(*vfs, path, data, TestCred()));
+    ASSERT_OK(UnlinkAt(*vfs, path));
+  }
+}
+
+TEST(ClientCacheTest, AlternatingReaderAndWriterDoNotStackStatusTokens) {
+  // Regression: a read miss asked for status-read again although the reader
+  // still held it. The writer's data-write grant revokes only the reader's
+  // data token, so every round stranded one more status-read token at the
+  // server. The reader uses whole-file data tokens so that a write to a
+  // disjoint block still revokes its data token each round.
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  CacheManager::Options ropts;
+  ropts.whole_file_data_tokens = true;
+  CacheManager* reader = rig->NewClient("alice", ropts);
+  CacheManager* writer = rig->NewClient("bob");
+  ASSERT_OK_AND_ASSIGN(VfsRef rv, reader->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(VfsRef wv, writer->MountVolume("home"));
+  ASSERT_OK(CreateFileAt(*wv, "/shared", 0666, TestCred()).status());
+  ASSERT_OK(WriteFileAt(*wv, "/shared", std::string(8 * kBlockSize, '.'), TestCred()));
+  ASSERT_OK(writer->SyncAll());
+  ASSERT_OK_AND_ASSIGN(VnodeRef rf, ResolvePath(*rv, "/shared"));
+  ASSERT_OK_AND_ASSIGN(VnodeRef wf, ResolvePath(*wv, "/shared"));
+
+  std::vector<uint8_t> buf(kBlockSize);
+  uint64_t revocations = reader->stats().revocations_handled;
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_OK(rf->Read(0, buf).status());
+    ASSERT_OK(wf->Write(4 * kBlockSize, std::vector<uint8_t>(kBlockSize, 'a' + i % 26))
+                  .status());
+  }
+  EXPECT_GE(reader->stats().revocations_handled - revocations, 200u)
+      << "each write must revoke the reader's data token";
+  size_t status_tokens = 0;
+  for (const Token& t : rig->server->tokens().TokensForFid(rf->fid())) {
+    if (t.host == reader->node() && (t.types & kTokenStatusRead) != 0) {
+      ++status_tokens;
+    }
+  }
+  EXPECT_LE(status_tokens, 2u);
+}
 
 TEST(ClientCacheTest, WholeFileTokenModeFetchesOnceThenPingPongs) {
   auto rig = DfsRig::Create();

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "src/common/rng.h"
@@ -14,20 +15,32 @@
 namespace dfs {
 namespace {
 
-// A host whose revocations succeed after a tiny delay (models the RPC).
+// A host whose revocations succeed after a tiny delay (models the RPC). It
+// remembers which token ids it gave up, so a test can tell a token revoked
+// by a peer's grant from one that was lost.
 class SlowHost : public TokenHost {
  public:
   explicit SlowHost(std::string name) : name_(std::move(name)) {}
-  Status Revoke(const Token&, uint32_t) override {
+  Status Revoke(const Token& token, uint32_t) override {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
+    {
+      std::lock_guard<std::mutex> l(mu_);
+      revoked_ids_.insert(token.id);
+    }
     ++revocations;
     return Status::Ok();
   }
   std::string name() const override { return name_; }
+  bool WasRevoked(TokenId id) const {
+    std::lock_guard<std::mutex> l(mu_);
+    return revoked_ids_.count(id) != 0;
+  }
   std::atomic<int> revocations{0};
 
  private:
   std::string name_;
+  mutable std::mutex mu_;
+  std::set<TokenId> revoked_ids_;
 };
 
 TEST(TokenConcurrencyTest, ParallelConflictingGrantsNeverLoseTokens) {
@@ -164,7 +177,13 @@ TEST(TokenConcurrencyTest, UnregisterDuringGrantsIsSafe) {
   for (int i = 0; i < 200; ++i) {
     auto t = mgr.Grant(1, fid, kTokenDataWrite, ByteRange::All());
     ASSERT_OK(t.status());
-    ASSERT_OK(mgr.Return(t->id, t->types));
+    // The churner's read grant may legitimately revoke this write token
+    // between Grant and Return; only then may Return find nothing.
+    Status s = mgr.Return(t->id, t->types);
+    if (!s.ok()) {
+      ASSERT_EQ(s.code(), ErrorCode::kNotFound) << s.ToString();
+      ASSERT_TRUE(stable.WasRevoked(t->id)) << "token " << t->id << " vanished unrevoked";
+    }
   }
   stop.store(true);
   churner.join();

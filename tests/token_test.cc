@@ -3,8 +3,12 @@
 // deferred returns, refusals, host teardown.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <mutex>
 #include <thread>
+#include <utility>
 
+#include "src/common/rng.h"
 #include "src/tokens/token_manager.h"
 #include "tests/test_util.h"
 
@@ -33,6 +37,11 @@ class ScriptedHost : public TokenHost {
     return revoked_.size();
   }
   void set_answer(Status s) { answer_ = s; }
+  // The revocations recorded since the last call.
+  std::vector<std::pair<Token, uint32_t>> TakeRevoked() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(revoked_, {});
+  }
 
  private:
   std::string name_;
@@ -293,6 +302,138 @@ TEST(TokenManagerTest, EmptiedVolumeIndexEntriesArePruned) {
   EXPECT_EQ(mgr.VolumeIndexEntries(), 1u);
   mgr.UnregisterHost(1);
   EXPECT_EQ(mgr.VolumeIndexEntries(), 0u);
+}
+
+// The per-file conflict index must find exactly what a scan of every live
+// token finds. Random grants, returns, host teardowns and reassertions over a
+// few fids of two volumes (including whole-volume tokens and plain tokens on
+// the {volume, 0, 0} fid) are checked against a brute-force reference: each
+// grant's revocations, each reassertion's verdict, and TokensForFid.
+TEST(TokenManagerTest, ConflictIndexMatchesBruteForceScan) {
+  constexpr HostId kHosts = 3;
+  const std::vector<Fid> fids = {{1, 0, 0}, {1, 1, 1}, {1, 2, 1}, {1, 3, 1},
+                                 {2, 0, 0}, {2, 1, 1}, {2, 2, 1}};
+  const std::vector<uint32_t> types = {
+      kTokenDataRead,      kTokenDataWrite,  kTokenDataRead | kTokenStatusRead,
+      kTokenStatusRead,    kTokenStatusWrite, kTokenDataWrite | kTokenStatusWrite,
+      kTokenLockRead,      kTokenLockWrite,  kTokenOpenRead,
+      kTokenOpenWrite,     kTokenOpenShared, kTokenOpenExclusive,
+      kTokenWholeVolume,   kTokenWholeVolume | kTokenDataRead};
+  const std::vector<ByteRange> ranges = {ByteRange::All(), {0, 4096}, {4096, 8192}, {0, 8192}};
+
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    TokenManager::Options opts;
+    opts.shards = 1 + rng.Below(3);
+    TokenManager mgr(opts);
+    std::vector<std::unique_ptr<ScriptedHost>> hosts;
+    for (HostId h = 1; h <= kHosts; ++h) {
+      hosts.push_back(std::make_unique<ScriptedHost>("h" + std::to_string(h)));
+      mgr.RegisterHost(h, hosts.back().get());
+    }
+    std::map<TokenId, Token> live;  // the reference model
+    std::vector<Token> dead;        // returned/revoked tokens, for reassertion
+
+    auto expected_conflicts = [&](HostId host, const Fid& fid, uint32_t want,
+                                  const ByteRange& range) {
+      std::map<TokenId, uint32_t> out;
+      for (const auto& [id, t] : live) {
+        if (t.host == host || t.fid.volume != fid.volume) {
+          continue;
+        }
+        bool volume_scope = ((t.types | want) & kTokenWholeVolume) != 0;
+        if (t.fid != fid && !volume_scope) {
+          continue;
+        }
+        uint32_t c = ConflictingTypes(t.types, t.range, want, range);
+        if (c != 0) {
+          out[id] = c;
+        }
+      }
+      return out;
+    };
+    auto erase_types = [&](TokenId id, uint32_t gone) {
+      Token& t = live.at(id);
+      if ((t.types & ~gone) == 0) {
+        dead.push_back(t);
+        live.erase(id);
+      } else {
+        t.types &= ~gone;
+      }
+    };
+
+    for (int step = 0; step < 400; ++step) {
+      uint64_t op = rng.Below(10);
+      if (op < 6 || live.empty()) {  // Grant
+        HostId host = 1 + static_cast<HostId>(rng.Below(kHosts));
+        Fid fid = fids[rng.Below(fids.size())];
+        uint32_t want = types[rng.Below(types.size())];
+        if ((want & kTokenWholeVolume) != 0) {
+          fid = Fid{fid.volume, 0, 0};
+        }
+        ByteRange range = ranges[rng.Below(ranges.size())];
+        auto expected = expected_conflicts(host, fid, want, range);
+        auto granted = mgr.Grant(host, fid, want, range);
+        ASSERT_OK(granted.status());
+        std::map<TokenId, uint32_t> revoked;
+        for (auto& h : hosts) {
+          for (const auto& [token, gone] : h->TakeRevoked()) {
+            ASSERT_EQ(revoked.count(token.id), 0u) << "token " << token.id << " revoked twice";
+            revoked[token.id] = gone;
+          }
+        }
+        ASSERT_EQ(revoked, expected) << "seed " << seed << " step " << step;
+        for (const auto& [id, gone] : expected) {
+          erase_types(id, gone);
+        }
+        live[granted->id] = *granted;
+      } else if (op < 8) {  // Return some of a live token's types
+        auto it = std::next(live.begin(), static_cast<long>(rng.Below(live.size())));
+        uint32_t gone = it->second.types;
+        if (rng.Chance(0.5)) {
+          gone &= ~(gone & (gone - 1));  // just the lowest type bit
+        }
+        ASSERT_OK(mgr.Return(it->first, gone));
+        erase_types(it->first, gone);
+      } else if (op < 9) {  // Host teardown
+        HostId host = 1 + static_cast<HostId>(rng.Below(kHosts));
+        mgr.UnregisterHost(host);
+        mgr.RegisterHost(host, hosts[host - 1].get());
+        for (auto it = live.begin(); it != live.end();) {
+          if (it->second.host == host) {
+            dead.push_back(it->second);
+            it = live.erase(it);
+          } else {
+            ++it;
+          }
+        }
+      } else if (!dead.empty()) {  // Reassert a token that is gone
+        size_t pick = rng.Below(dead.size());
+        Token t = dead[pick];
+        bool expect_ok = expected_conflicts(t.host, t.fid, t.types, t.range).empty();
+        Status s = mgr.Reassert(t);
+        ASSERT_EQ(s.ok(), expect_ok) << "seed " << seed << " step " << step << ": "
+                                     << s.ToString();
+        if (s.ok()) {
+          live[t.id] = t;
+          dead.erase(dead.begin() + static_cast<long>(pick));
+        }
+      }
+      for (const Fid& fid : fids) {
+        std::vector<TokenId> want_ids;
+        for (const auto& [id, t] : live) {
+          if (t.fid == fid) {
+            want_ids.push_back(id);
+          }
+        }
+        std::vector<TokenId> got_ids;
+        for (const Token& t : mgr.TokensForFid(fid)) {
+          got_ids.push_back(t.id);
+        }
+        ASSERT_EQ(got_ids, want_ids) << "seed " << seed << " step " << step;
+      }
+    }
+  }
 }
 
 TEST(TokenManagerTest, ShardCountIsConfigurable) {
