@@ -51,7 +51,6 @@ int main() {
   }
   Cred cred{100, {100}};
   CacheManager::Options copts;
-  copts.persistent_cache = true;
   copts.persistent_cache_disk = &cache_disk;
   copts.node = kFirstClientNode;
 

@@ -138,16 +138,8 @@ CacheManager::CacheManager(Network& network, std::vector<NodeId> vldb_nodes, Tic
       vldb_(network, options.node, std::move(vldb_nodes)),
       ticket_(std::move(ticket)),
       options_(options) {
-  if (options_.persistent_cache && !options_.diskless) {
-    SimDisk* medium = options_.persistent_cache_disk;
-    if (medium == nullptr) {
-      owned_cache_disk_ = std::make_unique<SimDisk>(options_.cache_disk_blocks);
-      medium = owned_cache_disk_.get();
-    }
-    PersistentCacheStore::Options popts;
-    popts.wal_blocks = options_.persistent_cache_wal_blocks;
-    popts.journal_blocks = options_.persistent_cache_journal_blocks;
-    auto pstore = PersistentCacheStore::Open(medium, popts);
+  if (options_.persistent_cache_disk != nullptr) {
+    auto pstore = PersistentCacheStore::Open(options_.persistent_cache_disk, {});
     if (pstore.ok()) {
       persist_ = pstore->get();
       store_ = std::move(*pstore);
@@ -168,9 +160,6 @@ CacheManager::CacheManager(Network& network, std::vector<NodeId> vldb_nodes, Tic
       options_.prefetch_threads, options_.readahead_min_blocks,
       options_.readahead_max_blocks});
   (void)network_.RegisterNode(options_.node, this, options_.rpc);
-  if (options_.write_behind) {
-    flusher_ = std::thread([this] { FlusherLoop(); });
-  }
   if (options_.keepalive_interval_ms > 0) {
     keepalive_ = std::thread([this] { KeepAliveLoop(); });
   }
@@ -188,14 +177,6 @@ CacheManager::~CacheManager() {
     prefetcher_->Shutdown();
   }
   prefetcher_.reset();
-  if (flusher_.joinable()) {
-    {
-      MutexLock lock(flusher_mu_);
-      flusher_shutdown_ = true;
-    }
-    flusher_cv_.NotifyAll();
-    flusher_.join();
-  }
   if (keepalive_.joinable()) {
     {
       MutexLock lock(keepalive_mu_);
@@ -656,7 +637,7 @@ std::vector<BufferSlice> CacheManager::RunSlicesLocked(CVnode& cv, uint64_t firs
                                : BufferSlice::TakeOwnership(std::vector<uint8_t>(n, 0)));
   }
   if (!store_->SharesSlices()) {
-    Count(hits_.bytes_copied, run_len);  // GetSlice's adapter copied out of the store
+    Count(hits_.bytes_copied, run_len);  // GetSlice copied out of the store
   }
   MutexLock lock(mu_);
   stats_.bytes_moved += run_len;
@@ -766,14 +747,13 @@ Status CacheManager::ReturnToken(const Fid& fid, TokenId id, uint32_t types) {
 
 // --- Persistent cache hooks ---
 
-Status CacheManager::StorePutLocked(CVnode& cv, uint64_t block, std::span<const uint8_t> data,
-                                    bool dirty) {
+Status CacheManager::StorePutLocked(CVnode& cv, uint64_t block, BufferSlice data, bool dirty) {
   if (persist_ == nullptr) {
-    return store_->Put(cv.fid, block, data);
+    return store_->PutSlice(cv.fid, block, std::move(data));
   }
   uint64_t dv = cv.attr_valid ? cv.attr.data_version : 0;
   uint64_t size = cv.attr_valid ? cv.attr.size : 0;
-  Status s = persist_->PutBlock(cv.fid, block, data, dirty, cv.stamp, dv, size);
+  Status s = persist_->PutBlock(cv.fid, block, data.span(), dirty, cv.stamp, dv, size);
   if (s.ok()) {
     // Keep the persisted attribute snapshot in step with the blocks it
     // vouches for (deduplicated by stamp, so steady-state stores are free).
@@ -984,7 +964,6 @@ Status CacheManager::Recover() {
           cv->cached_blocks.insert(b.block);
           cv->dirty_blocks.insert(b.block);
           TouchLru(f.fid, b.block);
-          NoteDirty(f.fid);
           resumed_size = std::max(resumed_size, b.file_size);
           MutexLock lock(mu_);
           stats_.warm_dirty_resumed += 1;
@@ -1124,7 +1103,7 @@ Status CacheManager::InstallFetchReplyLocked(CVnode& cv, uint64_t aligned_off,
   // Install whole blocks; the tail block of the file is zero-padded. Blocks
   // we have dirty locally are NOT overwritten: our copy is newer than what
   // the server just sent. Only a short tail (needing the zero pad) or a
-  // persistent store (which owns its on-medium layout) costs a copy.
+  // store that does not share slices (it writes its own copy) costs a copy.
   uint64_t copied = 0;
   for (uint64_t i = 0; i * kBlockSize < data.size(); ++i) {
     uint64_t block = BlockOf(aligned_off) + i;
@@ -1132,17 +1111,16 @@ Status CacheManager::InstallFetchReplyLocked(CVnode& cv, uint64_t aligned_off,
       continue;
     }
     size_t n = std::min<size_t>(kBlockSize, data.size() - i * kBlockSize);
-    if (n == kBlockSize && persist_ == nullptr) {
-      RETURN_IF_ERROR(store_->PutSlice(cv.fid, block, data.Sub(i * kBlockSize, n)));
-      if (!store_->SharesSlices()) {
-        copied += n;  // the store's adapter fell back to the copying Put
-      }
-    } else {
+    BufferSlice slice = data.Sub(i * kBlockSize, n);
+    if (n < kBlockSize) {
       std::vector<uint8_t> blockbuf(kBlockSize, 0);
-      std::memcpy(blockbuf.data(), data.data() + i * kBlockSize, n);
-      RETURN_IF_ERROR(StorePutLocked(cv, block, blockbuf, /*dirty=*/false));
+      std::memcpy(blockbuf.data(), slice.data(), n);
+      slice = BufferSlice::TakeOwnership(std::move(blockbuf));
+    }
+    if (n < kBlockSize || !store_->SharesSlices()) {
       copied += n;
     }
+    RETURN_IF_ERROR(StorePutLocked(cv, block, std::move(slice), /*dirty=*/false));
     bool fresh = cv.cached_blocks.insert(block).second;
     TouchLru(cv.fid, block);
     if (fresh && installed != nullptr) {
@@ -1166,11 +1144,7 @@ Status CacheManager::InstallFetchReplyLocked(CVnode& cv, uint64_t aligned_off,
        block < BlockEnd(aligned_off, aligned_len) &&
        block * kBlockSize >= cv.attr.size && cv.attr_valid;
        ++block) {
-    if (persist_ == nullptr) {
-      RETURN_IF_ERROR(store_->PutSlice(cv.fid, block, kZeroBlock));
-    } else {
-      RETURN_IF_ERROR(StorePutLocked(cv, block, kZeroBlock.span(), /*dirty=*/false));
-    }
+    RETURN_IF_ERROR(StorePutLocked(cv, block, kZeroBlock, /*dirty=*/false));
     bool fresh = cv.cached_blocks.insert(block).second;
     TouchLru(cv.fid, block);
     if (fresh && installed != nullptr) {
@@ -1633,298 +1607,174 @@ Status CacheManager::Fsync(const Fid& fid) {
   return CallVolume(fid.volume, kSyncVolume, w).status();
 }
 
-// Pushes the first contiguous dirty run, releasing the low-level lock across
-// the normal store RPC (the rule of Section 6.1: the low lock is never held
+// Pushes the dirty runs one at a time, releasing the low-level lock across
+// each normal store RPC (the rule of Section 6.1: the low lock is never held
 // over a client-initiated call, because the server may be holding its vnode
 // lock while revoking one of our tokens — which needs our low lock).
-Result<bool> CacheManager::PushOneDirtyRunHighLocked(CVnode& cv, bool background) {
-  uint64_t offset = 0;
-  uint64_t run_len = 0;
-  std::vector<BufferSlice> parts;  // one per block of the run, in block order
+Status CacheManager::FsyncHighLocked(CVnode& cv) {
   for (;;) {
-    OrderedLockGuard low(cv.low);
-    if (cv.dirty_lost) {
-      // A server restart rejected this file's reassertion while it had dirty
-      // data; that data is gone. Foreground callers get the error once (then
-      // the flag clears); the background flusher leaves it for them to see.
-      if (!background) {
+    uint64_t offset = 0;
+    uint64_t run_len = 0;
+    std::vector<BufferSlice> parts;  // one per block of the run, in block order
+    {
+      OrderedLockGuard low(cv.low);
+      if (cv.dirty_lost) {
+        // A server restart rejected this file's reassertion while it had dirty
+        // data; that data is gone. The caller gets the error once, then the
+        // flag clears.
         cv.dirty_lost = false;
         return Status(ErrorCode::kIoError,
                       "dirty data discarded: write token lost in server restart");
       }
-      return false;
-    }
-    if (cv.dirty_blocks.empty()) {
-      return false;
-    }
-    uint64_t first = *cv.dirty_blocks.begin();
-    uint64_t last = first;
-    while (cv.dirty_blocks.count(last + 1) != 0) {
-      ++last;
-    }
-    offset = first * kBlockSize;
-    uint64_t end = std::min<uint64_t>((last + 1) * kBlockSize, cv.attr.size);
-    if (end <= offset) {
-      for (uint64_t b = first; b <= last; ++b) {
-        cv.dirty_blocks.erase(b);
+      if (cv.dirty_blocks.empty()) {
+        return Status::Ok();
       }
-      continue;  // run past EOF (truncate): discard it and look again
-    }
-    run_len = end - offset;
-    parts = RunSlicesLocked(cv, first, run_len);
-    break;
-  }
-  // The run drains as block-aligned chunks (one when it fits max_rpc_bytes)
-  // issued concurrently. Each chunk is all-or-retry — a successful chunk's
-  // blocks come off the dirty set immediately (the server has them), and the
-  // sync infos merge correctly in any completion order under the stamp rule.
-  std::vector<Chunk> chunks = ChunksOf(offset, run_len, options_.max_rpc_bytes);
-  if (chunks.size() > 1) {
-    MutexLock lock(mu_);
-    stats_.bulk_rpcs_split += 1;
-  }
-  std::vector<Status> statuses(chunks.size(), Status::Ok());
-  auto run_chunk = [&](size_t i) {
-    const Chunk& c = chunks[i];
-    uint64_t first = BlockOf(c.off);
-    uint64_t end = BlockEnd(c.off, c.len);
-    Writer w = StoreBody(cv.fid, c.off,
-                         std::span<const BufferSlice>(parts).subspan(first - BlockOf(offset),
-                                                                     end - first));
-    auto payload = [&] {
-      InflightTracker inflight(this);
-      return CallVolume(cv.fid.volume, kStoreData, w, &cv.fid);
-    }();
-    if (!payload.ok()) {
-      statuses[i] = payload.status();
-      return;
-    }
-    Reader r(*payload);
-    auto sync = ReadSyncInfo(r);
-    if (!sync.ok()) {
-      statuses[i] = sync.status();
-      return;
-    }
-    OrderedLockGuard low(cv.low);
-    for (uint64_t b = first; b < end; ++b) {
-      cv.dirty_blocks.erase(b);
-    }
-    if (cv.dirty_blocks.empty()) {
-      cv.attr_dirty = false;  // the server has everything; its attr rules again
-    }
-    PersistMarkCleanLocked(cv, first, end - 1, *sync);
-    MergeSyncLocked(cv, *sync);
-    JournalAttrLocked(cv);
-    statuses[i] = Status::Ok();
-  };
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(chunks.size());
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    tasks.push_back([&run_chunk, i] { run_chunk(i); });
-  }
-  RunDataTasks(tasks);
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    // kConflict: our write token is gone — the server restarted, or a peer's
-    // grant revoked it while the chunk was on the wire. In the latter case
-    // the revocation handler's pre-authorized store-back may have pushed the
-    // chunk already: if none of its blocks is dirty any more, the server has
-    // that data and the chunk counts as stored. The rest re-acquire the token
-    // in one refetch covering the whole run and retry (bounded, like
-    // Read/Write's grant loops, so a storm of reader grants cannot starve the
-    // store on one bounce); dirty blocks are immune to the refetch, so no
-    // local data is lost.
-    std::vector<size_t> retry_idx;
-    {
-      OrderedLockGuard low(cv.low);
-      for (size_t i = 0; i < chunks.size(); ++i) {
-        if (statuses[i].code() != ErrorCode::kConflict) {
-          continue;
+      uint64_t first = *cv.dirty_blocks.begin();
+      uint64_t last = first;
+      while (cv.dirty_blocks.count(last + 1) != 0) {
+        ++last;
+      }
+      offset = first * kBlockSize;
+      uint64_t end = std::min<uint64_t>((last + 1) * kBlockSize, cv.attr.size);
+      if (end <= offset) {
+        for (uint64_t b = first; b <= last; ++b) {
+          cv.dirty_blocks.erase(b);
         }
-        bool still_dirty = false;
-        for (uint64_t b = BlockOf(chunks[i].off); b < BlockEnd(chunks[i].off, chunks[i].len);
-             ++b) {
-          if (cv.dirty_blocks.count(b) != 0) {
-            still_dirty = true;
-            break;
-          }
-        }
-        if (still_dirty) {
-          retry_idx.push_back(i);
-        } else {
-          statuses[i] = Status::Ok();
-        }
+        continue;  // run past EOF (truncate): discard it and look again
       }
+      run_len = end - offset;
+      parts = RunSlicesLocked(cv, first, run_len);
     }
-    if (retry_idx.empty()) {
-      break;
+    // The run drains as block-aligned chunks (one when it fits max_rpc_bytes)
+    // issued concurrently. Each chunk is all-or-retry — a successful chunk's
+    // blocks come off the dirty set immediately (the server has them), and the
+    // sync infos merge correctly in any completion order under the stamp rule.
+    std::vector<Chunk> chunks = ChunksOf(offset, run_len, options_.max_rpc_bytes);
+    if (chunks.size() > 1) {
+      MutexLock lock(mu_);
+      stats_.bulk_rpcs_split += 1;
     }
-    Status refetch = FetchAndInstall(
-        cv, offset, run_len,
-        kTokenDataRead | kTokenDataWrite | kTokenStatusRead | kTokenStatusWrite);
-    if (!refetch.ok()) {
-      if (refetch.code() == ErrorCode::kTimedOut) {
-        continue;  // the grant lost a deferred-revocation cycle; retry
-      }
-      for (size_t i : retry_idx) {
-        statuses[i] = refetch;
-      }
-      break;
-    }
-    std::vector<std::function<void()>> retries;
-    retries.reserve(retry_idx.size());
-    for (size_t i : retry_idx) {
-      retries.push_back([&run_chunk, i] { run_chunk(i); });
-    }
-    RunDataTasks(retries);
-  }
-  Status store_result = Status::Ok();
-  for (const Status& s : statuses) {  // first error in chunk order wins
-    if (!s.ok()) {
-      store_result = s;
-      break;
-    }
-  }
-  if (store_result.code() == ErrorCode::kStale) {
-    // The file itself is gone (deleted remotely, or lost with an unsynced
-    // server crash): there is nothing to store into. Drop our cached state
-    // and report the staleness.
-    OrderedLockGuard low(cv.low);
-    cv.prefetch_gen += 1;
-    for (uint64_t b : cv.cached_blocks) {
-      NotePrefetchDropLocked(cv, b);
-      store_->Erase(cv.fid, b);
-      RemoveLru(cv.fid, b);
-    }
-    cv.cached_blocks.clear();
-    cv.dirty_blocks.clear();
-    cv.attr_valid = false;
-    cv.attr_dirty = false;
-    return store_result;
-  }
-  RETURN_IF_ERROR(store_result);
-  {
-    MutexLock lock(mu_);
-    stats_.dirty_stores += 1;
-    if (background) {
-      stats_.write_behind_stores += 1;
-    }
-  }
-  return true;
-}
-
-Status CacheManager::FsyncHighLocked(CVnode& cv) {
-  for (;;) {
-    ASSIGN_OR_RETURN(bool pushed, PushOneDirtyRunHighLocked(cv, /*background=*/false));
-    if (!pushed) {
-      return Status::Ok();
-    }
-  }
-}
-
-void CacheManager::FlusherLoop() {
-  UniqueMutexLock lock(flusher_mu_);
-  while (!flusher_shutdown_) {
-    (void)flusher_cv_.WaitFor(lock,
-                              std::chrono::milliseconds(options_.write_behind_interval_ms));
-    if (flusher_shutdown_) {
-      return;
-    }
-    lock.Unlock();
-    WriteBehindPass();
-    lock.Lock();
-  }
-}
-
-void CacheManager::NoteDirty(const Fid& fid) {
-  uint64_t now_ms = static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::milliseconds>(
-                                              std::chrono::steady_clock::now().time_since_epoch())
-                                              .count());
-  MutexLock lock(mu_);
-  // emplace keeps the earliest timestamp: the list orders by when the file
-  // *first* went dirty (the 30-second rule's clock), not its latest write.
-  dirty_since_.emplace(fid, now_ms);
-}
-
-size_t CacheManager::DirtyListSize() const {
-  MutexLock lock(mu_);
-  return dirty_since_.size();
-}
-
-void CacheManager::WriteBehindPass() {
-  // Walk the dirty list oldest-first instead of scanning every cvnode: files
-  // that never went dirty (the common case for a read-mostly cache) cost
-  // nothing, and the oldest dirty data is pushed first.
-  std::vector<std::pair<uint64_t, Fid>> dirty;
-  {
-    MutexLock lock(mu_);
-    dirty.reserve(dirty_since_.size());
-    for (const auto& [fid, since] : dirty_since_) {
-      dirty.push_back({since, fid});
-    }
-  }
-  std::sort(dirty.begin(), dirty.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  uint64_t now_ms = static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::milliseconds>(
-                                              std::chrono::steady_clock::now().time_since_epoch())
-                                              .count());
-  for (const auto& [since, fid] : dirty) {
-    // The classic 30-second rule: data dirtied less than the age threshold
-    // ago stays local — most scratch files die before they age in. Sorted
-    // oldest-first, so everything after this entry is younger still.
-    if (options_.write_behind_age_ms > 0 && now_ms - since < options_.write_behind_age_ms) {
-      break;
-    }
-    {
-      MutexLock lock(flusher_mu_);
-      if (flusher_shutdown_) {
+    std::vector<Status> statuses(chunks.size(), Status::Ok());
+    auto run_chunk = [&](size_t i) {
+      const Chunk& c = chunks[i];
+      uint64_t first = BlockOf(c.off);
+      uint64_t end = BlockEnd(c.off, c.len);
+      Writer w = StoreBody(cv.fid, c.off,
+                           std::span<const BufferSlice>(parts).subspan(first - BlockOf(offset),
+                                                                       end - first));
+      auto payload = [&] {
+        InflightTracker inflight(this);
+        return CallVolume(cv.fid.volume, kStoreData, w, &cv.fid);
+      }();
+      if (!payload.ok()) {
+        statuses[i] = payload.status();
         return;
       }
-    }
-    CVnodeRef cv;
-    {
-      MutexLock lock(mu_);
-      auto it = cvnodes_.find(fid);
-      if (it == cvnodes_.end()) {
-        dirty_since_.erase(fid);
-        continue;
+      Reader r(*payload);
+      auto sync = ReadSyncInfo(r);
+      if (!sync.ok()) {
+        statuses[i] = sync.status();
+        return;
       }
-      cv = it->second;
+      OrderedLockGuard low(cv.low);
+      for (uint64_t b = first; b < end; ++b) {
+        cv.dirty_blocks.erase(b);
+      }
+      if (cv.dirty_blocks.empty()) {
+        cv.attr_dirty = false;  // the server has everything; its attr rules again
+      }
+      PersistMarkCleanLocked(cv, first, end - 1, *sync);
+      MergeSyncLocked(cv, *sync);
+      JournalAttrLocked(cv);
+      statuses[i] = Status::Ok();
+    };
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(chunks.size());
+    for (size_t i = 0; i < chunks.size(); ++i) {
+      tasks.push_back([&run_chunk, i] { run_chunk(i); });
     }
-    bool still_dirty;
-    {
-      OrderedLockGuard low(cv->low);
-      still_dirty = !cv->dirty_blocks.empty();
-    }
-    if (!still_dirty) {
-      // Flushed by a foreground fsync (or dropped by a restart) since it was
-      // listed; lazily retire the entry.
-      MutexLock lock(mu_);
-      dirty_since_.erase(fid);
-      continue;
-    }
-    // Idle-time only: if an operation holds the file's high lock right now,
-    // skip it this pass rather than queueing behind the user's work.
-    if (!cv->high.try_lock()) {
-      continue;
-    }
-    bool clean = false;
-    for (uint32_t run = 0; run < options_.write_behind_max_runs; ++run) {
-      auto pushed = PushOneDirtyRunHighLocked(*cv, /*background=*/true);
-      // Errors (server down, volume moving, stale file) are left for the
-      // foreground paths to surface; the flusher just stops this pass.
-      if (!pushed.ok()) {
+    RunDataTasks(tasks);
+    for (int attempt = 0; attempt < 8; ++attempt) {
+      // kConflict: our write token is gone — the server restarted, or a peer's
+      // grant revoked it while the chunk was on the wire. In the latter case
+      // the revocation handler's pre-authorized store-back may have pushed the
+      // chunk already: if none of its blocks is dirty any more, the server has
+      // that data and the chunk counts as stored. The rest re-acquire the token
+      // in one refetch covering the whole run and retry (bounded, like
+      // Read/Write's grant loops, so a storm of reader grants cannot starve the
+      // store on one bounce); dirty blocks are immune to the refetch, so no
+      // local data is lost.
+      std::vector<size_t> retry_idx;
+      {
+        OrderedLockGuard low(cv.low);
+        for (size_t i = 0; i < chunks.size(); ++i) {
+          if (statuses[i].code() != ErrorCode::kConflict) {
+            continue;
+          }
+          bool still_dirty = false;
+          for (uint64_t b = BlockOf(chunks[i].off); b < BlockEnd(chunks[i].off, chunks[i].len);
+               ++b) {
+            if (cv.dirty_blocks.count(b) != 0) {
+              still_dirty = true;
+              break;
+            }
+          }
+          if (still_dirty) {
+            retry_idx.push_back(i);
+          } else {
+            statuses[i] = Status::Ok();
+          }
+        }
+      }
+      if (retry_idx.empty()) {
         break;
       }
-      if (!*pushed) {
-        clean = true;
+      Status refetch = FetchAndInstall(
+          cv, offset, run_len,
+          kTokenDataRead | kTokenDataWrite | kTokenStatusRead | kTokenStatusWrite);
+      if (!refetch.ok()) {
+        if (refetch.code() == ErrorCode::kTimedOut) {
+          continue;  // the grant lost a deferred-revocation cycle; retry
+        }
+        for (size_t i : retry_idx) {
+          statuses[i] = refetch;
+        }
+        break;
+      }
+      std::vector<std::function<void()>> retries;
+      retries.reserve(retry_idx.size());
+      for (size_t i : retry_idx) {
+        retries.push_back([&run_chunk, i] { run_chunk(i); });
+      }
+      RunDataTasks(retries);
+    }
+    Status store_result = Status::Ok();
+    for (const Status& s : statuses) {  // first error in chunk order wins
+      if (!s.ok()) {
+        store_result = s;
         break;
       }
     }
-    cv->high.unlock();
-    if (clean) {
-      MutexLock lock(mu_);
-      dirty_since_.erase(fid);
+    if (store_result.code() == ErrorCode::kStale) {
+      // The file itself is gone (deleted remotely, or lost with an unsynced
+      // server crash): there is nothing to store into. Drop our cached state
+      // and report the staleness.
+      OrderedLockGuard low(cv.low);
+      cv.prefetch_gen += 1;
+      for (uint64_t b : cv.cached_blocks) {
+        NotePrefetchDropLocked(cv, b);
+        store_->Erase(cv.fid, b);
+        RemoveLru(cv.fid, b);
+      }
+      cv.cached_blocks.clear();
+      cv.dirty_blocks.clear();
+      cv.attr_valid = false;
+      cv.attr_dirty = false;
+      return store_result;
     }
+    RETURN_IF_ERROR(store_result);
+    MutexLock lock(mu_);
+    stats_.dirty_stores += 1;
   }
 }
 

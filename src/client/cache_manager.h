@@ -118,22 +118,6 @@ class CacheManager : public RpcHandler {
     // merged under the cvnode low lock. 0 (the default) = unlimited: every
     // transfer is one chunk.
     uint64_t max_rpc_bytes = 0;
-    // Background write-behind: a flusher daemon pushes dirty blocks toward
-    // the server during idle time, so the writeback a token revocation must
-    // perform shrinks to the residual delta. Off by default — callers that
-    // reason about exactly when dirty data leaves the client (tests counting
-    // revocation stores, strict-ablation benches) keep the write-on-revoke
-    // behavior unless they opt in.
-    bool write_behind = false;
-    // Flusher pass period while idle.
-    uint32_t write_behind_interval_ms = 50;
-    // Dirty runs pushed per file per pass; bounds one pass's work so the
-    // daemon yields the per-file operation lock quickly.
-    uint32_t write_behind_max_runs = 4;
-    // Age threshold (the classic 30-second rule): the flusher only pushes
-    // files whose data has been dirty at least this long, so short-lived
-    // scratch data never hits the wire. 0 (the default) flushes immediately.
-    uint32_t write_behind_age_ms = 0;
     // Keep-alive daemon: ping every connected server at this interval so the
     // server-side lease stays fresh (and restarts are detected) even when the
     // client is idle. 0 disables the daemon (the default; data RPCs renew the
@@ -146,19 +130,12 @@ class CacheManager : public RpcHandler {
     // restart). 0 disables (the default: cached reads survive partitions,
     // which existing failure tests rely on).
     uint32_t client_lease_ttl_ms = 0;
-    // Persistent client cache (src/client/persist): back the data cache and
-    // the token state with a SimDisk so both survive a client crash. Off by
-    // default — the in-memory/scratch-disk stores keep their exact behavior.
-    bool persistent_cache = false;
-    // The medium. Caller-owned and must outlive the CacheManager: a rebooted
-    // client hands the *same* SimDisk to its successor, which is what makes
-    // Recover() find a warm cache. Null = a private disk of
-    // cache_disk_blocks blocks (persists only for this process's lifetime).
+    // Persistent client cache (src/client/persist): a non-null disk backs the
+    // data cache and the token state with it, so both survive a client crash.
+    // Caller-owned and must outlive the CacheManager: a rebooted client hands
+    // the *same* SimDisk to its successor, which is what makes Recover() find
+    // a warm cache. Null (the default) keeps the memory/scratch-disk stores.
     SimDisk* persistent_cache_disk = nullptr;
-    // On-disk layout knobs (see persistent_cache.h): index-WAL area and
-    // token-journal area sizes in 4 KiB blocks.
-    uint64_t persistent_cache_wal_blocks = 64;
-    uint64_t persistent_cache_journal_blocks = 33;
     // Piggybacked journal maintenance: a keep-alive pass that finds at least
     // this many raw appends since the last compaction checkpoints the token
     // journal, so replay stays cheap without waiting for a half to fill.
@@ -177,8 +154,6 @@ class CacheManager : public RpcHandler {
     uint64_t revocations_deferred = 0;
     uint64_t revocation_stores = 0;
     uint64_t dirty_stores = 0;
-    // Subset of dirty_stores issued by the write-behind flusher.
-    uint64_t write_behind_stores = 0;
     uint64_t location_retries = 0;
     uint64_t cache_evictions = 0;
     // Recovery protocol.
@@ -210,7 +185,8 @@ class CacheManager : public RpcHandler {
     // data payload bytes that crossed the wire for this client (fetch replies
     // in + stores out). bytes_copied: payload bytes memcpy'd client-side
     // while moving them (partial-block install pads, span-read copy-out,
-    // copying-store puts). The datapath bench drives copied/moved toward 1.
+    // copying-store puts and gets). The write path's copy-in of the caller's
+    // bytes is not counted. The datapath bench drives copied/moved toward 1.
     uint64_t bytes_moved = 0;
     uint64_t bytes_copied = 0;
     // Whole-range overwrites that took the token-only kFetchData grant
@@ -266,8 +242,6 @@ class CacheManager : public RpcHandler {
   // The persistent store, when one backs this client (crash injection and
   // layout inspection in tests); null otherwise.
   PersistentCacheStore* persistent_store() { return persist_; }
-  // Files currently on the write-behind dirty list (test accessor).
-  size_t DirtyListSize() const;
 
  private:
   friend class DfsVfs;
@@ -382,27 +356,13 @@ class CacheManager : public RpcHandler {
   // charged to bytes_moved/bytes_copied.
   std::vector<BufferSlice> RunSlicesLocked(CVnode& cv, uint64_t first, uint64_t run_len)
       REQUIRES(cv.low);
-  // Pushes the first contiguous dirty run to the server. Returns true if a
-  // run was pushed, false when no dirty data remains. Takes (and drops)
-  // cv.low around the run itself. `background` attributes the store to the
-  // write-behind flusher in the stats.
-  Result<bool> PushOneDirtyRunHighLocked(CVnode& cv, bool background) REQUIRES(cv.high)
-      EXCLUDES(cv.low);
-  // Takes (and drops) cv.low around each pushed run itself.
+  // Pushes every contiguous dirty run to the server, one run at a time.
+  // Takes (and drops) cv.low around each run itself.
   Status FsyncHighLocked(CVnode& cv) REQUIRES(cv.high) EXCLUDES(cv.low);
 
   // Handles one revocation (the body shared by kRevokeToken and
   // kRevokeTokenBatch): returns the kRevoke* verdict byte.
   uint8_t HandleOneRevocation(const Token& token, uint32_t types, uint64_t stamp);
-
-  // --- write-behind flusher ---
-  void FlusherLoop();
-  // One idle-time pass: walks the dirty list oldest-first (the 30-second-rule
-  // ordering) and, for each file whose operation lock is free right now,
-  // pushes up to write_behind_max_runs runs.
-  void WriteBehindPass();
-  // Records `fid` on the dirty list; keeps the earliest-dirtied timestamp.
-  void NoteDirty(const Fid& fid);
 
   // --- keep-alive daemon ---
   void KeepAliveLoop();
@@ -482,14 +442,16 @@ class CacheManager : public RpcHandler {
 
   Status ReturnToken(const Fid& fid, TokenId id, uint32_t types);
 
-  // --- persistent cache hooks (all no-ops when persist_ == nullptr) ---
-  // Store one block, with full version metadata when the store is persistent.
-  // Clean and dirty blocks alike carry the cvnode's stamp and data_version:
-  // for clean blocks that is the version the bytes belong to; for dirty
-  // blocks it is the *base* version they were written against, so Recover()
-  // resumes a pre-crash push only if the server has not moved past it.
-  Status StorePutLocked(CVnode& cv, uint64_t block, std::span<const uint8_t> data, bool dirty)
+  // Every cache put goes through here. With a persistent store the block is
+  // written with full version metadata: clean and dirty blocks alike carry
+  // the cvnode's stamp and data_version — for clean blocks the version the
+  // bytes belong to, for dirty blocks the *base* version they were written
+  // against, so Recover() resumes a pre-crash push only if the server has not
+  // moved past it.
+  Status StorePutLocked(CVnode& cv, uint64_t block, BufferSlice data, bool dirty)
       REQUIRES(cv.low);
+
+  // --- persistent cache hooks (all no-ops when persist_ == nullptr) ---
   // Records that blocks [first, last] reached the server (store-back done).
   void PersistMarkCleanLocked(CVnode& cv, uint64_t first, uint64_t last, const SyncInfo& sync)
       REQUIRES(cv.low);
@@ -526,12 +488,6 @@ class CacheManager : public RpcHandler {
   Ticket ticket_;
   // GUARD-EXEMPT: configuration snapshot, never written after construction.
   Options options_;
-  // Private medium for persistent_cache without a caller-provided disk.
-  // Declared before store_ so the store (which holds buffers over it) is
-  // destroyed first.
-  // GUARD-EXEMPT: set once at construction; only the pointer identity is
-  // read afterwards (the device itself is driven through store_).
-  std::unique_ptr<SimDisk> owned_cache_disk_;
   // GUARD-EXEMPT: pointer set at construction and never reseated; the
   // pointee is internally synchronized (each store carries its own mutex).
   std::unique_ptr<CacheStore> store_;
@@ -556,9 +512,6 @@ class CacheManager : public RpcHandler {
   std::set<NodeId> connected_ GUARDED_BY(mu_);
   // Last epoch learned from each server (at connect / keep-alive).
   std::map<NodeId, uint64_t> server_epochs_ GUARDED_BY(mu_);
-  // Write-behind dirty list: fid -> steady-clock ms when it first went dirty.
-  // The flusher walks this instead of scanning every cvnode.
-  std::unordered_map<Fid, uint64_t, FidHash> dirty_since_ GUARDED_BY(mu_);
   uint64_t next_tag_ GUARDED_BY(mu_) = 1;
   Stats stats_ GUARDED_BY(mu_);
   // Hit-path counters, kept off mu_ as relaxed atomics; stats() folds them
@@ -591,15 +544,6 @@ class CacheManager : public RpcHandler {
   std::atomic<size_t> lru_size_{0};
   std::unordered_map<LruKey, std::list<LruKey>::iterator, LruKeyHash> lru_index_
       GUARDED_BY(mu_);
-
-  // LOCK-EXEMPT(leaf): flusher wakeup/shutdown latch only; nothing is
-  // acquired and no RPC is issued while it is held.
-  Mutex flusher_mu_;
-  CondVar flusher_cv_;
-  bool flusher_shutdown_ GUARDED_BY(flusher_mu_) = false;
-  // GUARD-EXEMPT: written only by the constructor-thread start and the
-  // destructor join; never touched concurrently.
-  std::thread flusher_;
 
   // LOCK-EXEMPT(leaf): keep-alive daemon wakeup/shutdown latch only; nothing
   // is acquired and no RPC is issued while it is held.

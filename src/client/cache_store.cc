@@ -6,26 +6,6 @@
 
 namespace dfs {
 
-Status MemoryCacheStore::Put(const Fid& fid, uint64_t block, std::span<const uint8_t> data) {
-  MutexLock lock(mu_);
-  blocks_[{fid, block}] = BufferSlice::CopyOf(data);
-  return Status::Ok();
-}
-
-Status MemoryCacheStore::Get(const Fid& fid, uint64_t block, std::span<uint8_t> out) {
-  MutexLock lock(mu_);
-  auto it = blocks_.find({fid, block});
-  if (it == blocks_.end()) {
-    return Status(ErrorCode::kNotFound, "block not in cache");
-  }
-  size_t n = std::min(out.size(), it->second.size());
-  std::memcpy(out.data(), it->second.data(), n);
-  if (n < out.size()) {
-    std::memset(out.data() + n, 0, out.size() - n);
-  }
-  return Status::Ok();
-}
-
 Status MemoryCacheStore::PutSlice(const Fid& fid, uint64_t block, BufferSlice data) {
   MutexLock lock(mu_);
   // Replaces the whole mapping; any slice handed out earlier keeps its (now
@@ -43,9 +23,8 @@ Result<BufferSlice> MemoryCacheStore::GetSlice(const Fid& fid, uint64_t block, s
   if (it->second.size() >= len) {
     return it->second.Sub(0, len);
   }
-  // Stored region is shorter than asked (a pre-slice store of a short tail):
-  // pad out with zeros, matching Get's contract. The copy is deliberate and
-  // rare — full blocks take the branch above.
+  // Stored region is shorter than asked (a short tail): pad out with zeros.
+  // The copy is deliberate and rare — full blocks take the branch above.
   std::vector<uint8_t> buf(len, 0);
   std::memcpy(buf.data(), it->second.data(), it->second.size());
   return BufferSlice::TakeOwnership(std::move(buf));
@@ -117,10 +96,10 @@ void DiskCacheStore::DropLocked(std::unordered_map<Fid, CacheFile, FidHash>::ite
   }
 }
 
-Status DiskCacheStore::Put(const Fid& fid, uint64_t block, std::span<const uint8_t> data) {
+Status DiskCacheStore::PutSlice(const Fid& fid, uint64_t block, BufferSlice data) {
   MutexLock lock(mu_);
   ASSIGN_OR_RETURN(CacheFile * file, OpenOrCreate(fid));
-  Status written = file->vnode->Write(block * kBlockSize, data).status();
+  Status written = file->vnode->Write(block * kBlockSize, data.span()).status();
   if (!written.ok()) {
     if (file->blocks.empty()) {
       DropLocked(files_.find(fid));  // don't strand an empty cache file
@@ -136,14 +115,15 @@ Status DiskCacheStore::Put(const Fid& fid, uint64_t block, std::span<const uint8
   return Status::Ok();
 }
 
-Status DiskCacheStore::Get(const Fid& fid, uint64_t block, std::span<uint8_t> out) {
+Result<BufferSlice> DiskCacheStore::GetSlice(const Fid& fid, uint64_t block, size_t len) {
   MutexLock lock(mu_);
   auto it = files_.find(fid);
   if (it == files_.end() || it->second.blocks.count(block) == 0) {
     return Status(ErrorCode::kNotFound, "block not in cache");
   }
-  std::memset(out.data(), 0, out.size());
-  return it->second.vnode->Read(block * kBlockSize, out).status();
+  std::vector<uint8_t> buf(len, 0);
+  RETURN_IF_ERROR(it->second.vnode->Read(block * kBlockSize, buf).status());
+  return BufferSlice::TakeOwnership(std::move(buf));
 }
 
 void DiskCacheStore::Erase(const Fid& fid, uint64_t block) {

@@ -24,25 +24,16 @@ namespace dfs {
 class CacheStore {
  public:
   virtual ~CacheStore() = default;
-  virtual Status Put(const Fid& fid, uint64_t block, std::span<const uint8_t> data) = 0;
-  virtual Status Get(const Fid& fid, uint64_t block, std::span<uint8_t> out) = 0;
+  // Stores `data` as the block's contents. Each store owns its one copy:
+  // MemoryCacheStore keeps the shared region itself, the disk-backed stores
+  // write the bytes to their medium.
+  virtual Status PutSlice(const Fid& fid, uint64_t block, BufferSlice data) = 0;
+  // Reads `len` bytes of the block, zero-padded past the stored length.
+  // Returns kNotFound when the block is absent.
+  virtual Result<BufferSlice> GetSlice(const Fid& fid, uint64_t block, size_t len) = 0;
   virtual void Erase(const Fid& fid, uint64_t block) = 0;
   virtual void EraseFile(const Fid& fid) = 0;
   virtual uint64_t bytes_used() const = 0;
-
-  // Slice-aware entry points for the zero-copy data path. The defaults adapt
-  // to the byte interface with one copy each way; stores that can share
-  // ref-counted regions (MemoryCacheStore) override both and copy nothing.
-  virtual Status PutSlice(const Fid& fid, uint64_t block, BufferSlice data) {
-    return Put(fid, block, data.span());
-  }
-  // Reads `len` bytes of the block (zero-padded past the stored length, like
-  // Get). Returns kNotFound when the block is absent.
-  virtual Result<BufferSlice> GetSlice(const Fid& fid, uint64_t block, size_t len) {
-    std::vector<uint8_t> buf(len);
-    RETURN_IF_ERROR(Get(fid, block, buf));
-    return BufferSlice::TakeOwnership(std::move(buf));
-  }
   // True when PutSlice/GetSlice share regions instead of copying — the copy
   // counters use this to attribute store traffic.
   virtual bool SharesSlices() const { return false; }
@@ -50,8 +41,6 @@ class CacheStore {
 
 class MemoryCacheStore : public CacheStore {
  public:
-  Status Put(const Fid& fid, uint64_t block, std::span<const uint8_t> data) override;
-  Status Get(const Fid& fid, uint64_t block, std::span<uint8_t> out) override;
   Status PutSlice(const Fid& fid, uint64_t block, BufferSlice data) override;
   Result<BufferSlice> GetSlice(const Fid& fid, uint64_t block, size_t len) override;
   bool SharesSlices() const override { return true; }
@@ -68,7 +57,7 @@ class MemoryCacheStore : public CacheStore {
     }
   };
   // LOCK-EXEMPT(leaf): guards only this store's block map; no calls out.
-  // Values are immutable shared regions: Put/PutSlice replace the whole
+  // Values are immutable shared regions: PutSlice replaces the whole
   // mapping, so a reader holding a previously returned slice keeps a stable
   // snapshot while the map moves on (the eviction/overwrite race test).
   mutable Mutex mu_;
@@ -77,15 +66,15 @@ class MemoryCacheStore : public CacheStore {
 
 // Cache files live in a local FFS: one file per remote fid. The store keeps
 // each cached fid's open cache-file vnode and the blocks stored in it, so a
-// Put or Get never searches the cache directory, and the cache file is
+// put or get never searches the cache directory, and the cache file is
 // unlinked (its inode and blocks freed) when its last block is erased.
 class DiskCacheStore : public CacheStore {
  public:
   // Creates a cache partition of `disk_blocks` blocks on a private SimDisk.
   static Result<std::unique_ptr<DiskCacheStore>> Create(uint64_t disk_blocks);
 
-  Status Put(const Fid& fid, uint64_t block, std::span<const uint8_t> data) override;
-  Status Get(const Fid& fid, uint64_t block, std::span<uint8_t> out) override;
+  Status PutSlice(const Fid& fid, uint64_t block, BufferSlice data) override;
+  Result<BufferSlice> GetSlice(const Fid& fid, uint64_t block, size_t len) override;
   void Erase(const Fid& fid, uint64_t block) override;
   void EraseFile(const Fid& fid) override;
   uint64_t bytes_used() const override;
@@ -93,7 +82,7 @@ class DiskCacheStore : public CacheStore {
  private:
   struct CacheFile {
     VnodeRef vnode;
-    // Stored block -> the bytes Put wrote into it.
+    // Stored block -> the bytes PutSlice wrote into it.
     std::unordered_map<uint64_t, size_t> blocks;
   };
 

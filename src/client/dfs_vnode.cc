@@ -1,9 +1,7 @@
 // The client's vnode layer (Section 4.4): implements the Vnode/VFS interface
 // in terms of the resource, cache, and directory layers.
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <thread>
 #include <optional>
 
 #include "src/client/cache_manager.h"
@@ -187,7 +185,7 @@ Result<std::vector<BufferSlice>> DfsVnode::ReadSlices(uint64_t offset, size_t le
       cm_->stats_.prefetch_hits += 1;
     }
     if (!cm_->store_->SharesSlices()) {
-      CacheManager::Count(cm_->hits_.bytes_copied, n);  // the store's adapter copied out
+      CacheManager::Count(cm_->hits_.bytes_copied, n);  // GetSlice copied out of the store
     }
     cv->last_read_end = offset + n;
     return slices;
@@ -301,21 +299,24 @@ Result<size_t> DfsVnode::Write(uint64_t offset, std::span<const uint8_t> data) {
       cv->attr.mtime += 1;
       cv->attr_dirty = true;
     }
+    // Each block is a fresh region (slices handed out earlier stay intact);
+    // only a partially covered, cached block starts from its old bytes.
     for (uint64_t b = BlockOf(offset); b < BlockEnd(offset, data.size()); ++b) {
-      std::vector<uint8_t> block(kBlockSize, 0);
-      if (cv->cached_blocks.count(b) != 0) {
-        RETURN_IF_ERROR(cm_->store_->Get(fid_, b, block));
-      }
       uint64_t bstart = b * kBlockSize;
       uint64_t copy_from = std::max(offset, bstart);
       uint64_t copy_to = std::min(offset + data.size(), bstart + kBlockSize);
+      std::vector<uint8_t> block(kBlockSize, 0);
+      if (copy_to - copy_from < kBlockSize && cv->cached_blocks.count(b) != 0) {
+        ASSIGN_OR_RETURN(BufferSlice old, cm_->store_->GetSlice(fid_, b, kBlockSize));
+        std::memcpy(block.data(), old.data(), kBlockSize);
+      }
       std::memcpy(block.data() + (copy_from - bstart), data.data() + (copy_from - offset),
                   copy_to - copy_from);
-      RETURN_IF_ERROR(cm_->StorePutLocked(*cv, b, block, /*dirty=*/true));
+      RETURN_IF_ERROR(cm_->StorePutLocked(*cv, b, BufferSlice::TakeOwnership(std::move(block)),
+                                          /*dirty=*/true));
       cv->cached_blocks.insert(b);
       cv->dirty_blocks.insert(b);
     }
-    cm_->NoteDirty(fid_);  // write-behind dirty list (cm_->mu_ is a leaf)
     return data.size();
   };
 
@@ -352,11 +353,13 @@ Result<size_t> DfsVnode::Write(uint64_t offset, std::span<const uint8_t> data) {
   // them at the server, so the write legitimately lands in between.
   Result<size_t> applied = Status(ErrorCode::kConflict, "write raced with revocations");
   for (int attempt = 0; attempt < 8 && !applied.ok(); ++attempt) {
-    // Re-evaluated each attempt: a peer extending the file between the check
-    // and the grant flips this to a data fetch on the retry instead of
-    // livelocking on kWouldBlock.
-    bool token_only;
-    {
+    // Only a first attempt may go token-only. The choice races with
+    // revocations: one that lands mid-fetch can drop the cached edge blocks
+    // the choice relied on, and the write then finds them missing
+    // (kWouldBlock). A retry fetches the data, so the reply itself installs
+    // the edge blocks before the queued revocations of its grant apply.
+    bool token_only = false;
+    if (attempt == 0) {
       OrderedLockGuard low(cv->low);
       token_only = !needs_edge_fetch();
     }

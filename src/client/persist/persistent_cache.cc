@@ -474,14 +474,14 @@ Status PersistentCacheStore::ClampFileSizes(const Fid& fid, uint64_t new_size) {
   return result;
 }
 
-Status PersistentCacheStore::Put(const Fid& fid, uint64_t block, std::span<const uint8_t> data) {
+Status PersistentCacheStore::PutSlice(const Fid& fid, uint64_t block, BufferSlice data) {
   // Version metadata unknown: recovery cannot validate such an entry and
   // drops it, so this path is only a within-boot cache.
-  return PutBlock(fid, block, data, /*dirty=*/false, /*stamp=*/0, /*data_version=*/0,
+  return PutBlock(fid, block, data.span(), /*dirty=*/false, /*stamp=*/0, /*data_version=*/0,
                   /*file_size=*/0);
 }
 
-Status PersistentCacheStore::Get(const Fid& fid, uint64_t block, std::span<uint8_t> out) {
+Result<BufferSlice> PersistentCacheStore::GetSlice(const Fid& fid, uint64_t block, size_t len) {
   MutexLock lock(mu_);
   auto it = by_key_.find({fid, block});
   if (it == by_key_.end()) {
@@ -489,12 +489,8 @@ Status PersistentCacheStore::Get(const Fid& fid, uint64_t block, std::span<uint8
   }
   std::vector<uint8_t> slot_data(kBlockSize);
   RETURN_IF_ERROR(crash_dev_->Read(geo_.data_start + it->second, slot_data));
-  size_t n = std::min(out.size(), slot_data.size());
-  std::memcpy(out.data(), slot_data.data(), n);
-  if (n < out.size()) {
-    std::memset(out.data() + n, 0, out.size() - n);
-  }
-  return Status::Ok();
+  slot_data.resize(len, 0);
+  return BufferSlice::TakeOwnership(std::move(slot_data));
 }
 
 void PersistentCacheStore::Erase(const Fid& fid, uint64_t block) {

@@ -134,11 +134,11 @@ class PersistentCacheStore : public CacheStore {
 
   ~PersistentCacheStore() override;
 
-  // CacheStore interface. Put() stores a clean block with unknown version
-  // metadata; recovery drops such entries, so integration code should prefer
-  // PutBlock(). Get/Erase/EraseFile behave like the sibling stores.
-  Status Put(const Fid& fid, uint64_t block, std::span<const uint8_t> data) override;
-  Status Get(const Fid& fid, uint64_t block, std::span<uint8_t> out) override;
+  // CacheStore interface. PutSlice() stores a clean block with unknown
+  // version metadata; recovery drops such entries, so integration code should
+  // prefer PutBlock(). GetSlice/Erase/EraseFile behave like the sibling stores.
+  Status PutSlice(const Fid& fid, uint64_t block, BufferSlice data) override;
+  Result<BufferSlice> GetSlice(const Fid& fid, uint64_t block, size_t len) override;
   void Erase(const Fid& fid, uint64_t block) override;
   void EraseFile(const Fid& fid) override;
   uint64_t bytes_used() const override;

@@ -7,8 +7,8 @@
 #include <string>
 #include <thread>
 
-#include "src/client/cache_store.h"
 #include "src/vfs/path.h"
+#include "tests/cache_store_util.h"
 #include "tests/dfs_rig.h"
 #include "tests/test_util.h"
 
@@ -43,9 +43,9 @@ TYPED_TEST(CacheStoreTest, PutGetRoundTrip) {
   auto store = MakeStore<TypeParam>();
   Fid fid{1, 2, 3};
   std::vector<uint8_t> block(kBlockSize, 0x5C);
-  ASSERT_OK(store->Put(fid, 7, block));
+  ASSERT_OK(PutBytes(*store, fid, 7, block));
   std::vector<uint8_t> out(kBlockSize);
-  ASSERT_OK(store->Get(fid, 7, out));
+  ASSERT_OK(GetBytes(*store, fid, 7, out));
   EXPECT_EQ(out, block);
 }
 
@@ -55,15 +55,15 @@ TYPED_TEST(CacheStoreTest, DistinctFidsAndBlocksAreIsolated) {
   Fid b{1, 2, 4};
   std::vector<uint8_t> block_a(kBlockSize, 0xAA);
   std::vector<uint8_t> block_b(kBlockSize, 0xBB);
-  ASSERT_OK(store->Put(a, 0, block_a));
-  ASSERT_OK(store->Put(b, 0, block_b));
-  ASSERT_OK(store->Put(a, 1, block_b));
+  ASSERT_OK(PutBytes(*store, a, 0, block_a));
+  ASSERT_OK(PutBytes(*store, b, 0, block_b));
+  ASSERT_OK(PutBytes(*store, a, 1, block_b));
   std::vector<uint8_t> out(kBlockSize);
-  ASSERT_OK(store->Get(a, 0, out));
+  ASSERT_OK(GetBytes(*store, a, 0, out));
   EXPECT_EQ(out[0], 0xAA);
-  ASSERT_OK(store->Get(b, 0, out));
+  ASSERT_OK(GetBytes(*store, b, 0, out));
   EXPECT_EQ(out[0], 0xBB);
-  ASSERT_OK(store->Get(a, 1, out));
+  ASSERT_OK(GetBytes(*store, a, 1, out));
   EXPECT_EQ(out[0], 0xBB);
 }
 
@@ -71,21 +71,21 @@ TYPED_TEST(CacheStoreTest, EraseKeepsOtherBlocksAndPutRecreates) {
   auto store = MakeStore<TypeParam>();
   Fid fid{1, 2, 3};
   std::vector<uint8_t> block(kBlockSize, 5);
-  ASSERT_OK(store->Put(fid, 0, block));
-  ASSERT_OK(store->Put(fid, 1, block));
+  ASSERT_OK(PutBytes(*store, fid, 0, block));
+  ASSERT_OK(PutBytes(*store, fid, 1, block));
   store->Erase(fid, 0);
   std::vector<uint8_t> out(kBlockSize);
-  EXPECT_EQ(store->Get(fid, 0, out).code(), ErrorCode::kNotFound);
-  ASSERT_OK(store->Get(fid, 1, out));
+  EXPECT_EQ(GetBytes(*store, fid, 0, out).code(), ErrorCode::kNotFound);
+  ASSERT_OK(GetBytes(*store, fid, 1, out));
   EXPECT_EQ(out, block);
   EXPECT_EQ(store->bytes_used(), kBlockSize);
   // Erasing the last block drops the file (a DiskCacheStore cache file is
   // unlinked); the next Put starts it afresh.
   store->Erase(fid, 1);
-  EXPECT_EQ(store->Get(fid, 1, out).code(), ErrorCode::kNotFound);
+  EXPECT_EQ(GetBytes(*store, fid, 1, out).code(), ErrorCode::kNotFound);
   EXPECT_EQ(store->bytes_used(), 0u);
-  ASSERT_OK(store->Put(fid, 4, block));
-  ASSERT_OK(store->Get(fid, 4, out));
+  ASSERT_OK(PutBytes(*store, fid, 4, block));
+  ASSERT_OK(GetBytes(*store, fid, 4, out));
   EXPECT_EQ(out, block);
 }
 
@@ -94,10 +94,10 @@ TYPED_TEST(CacheStoreTest, OverwriteReplaces) {
   Fid fid{1, 2, 3};
   std::vector<uint8_t> v1(kBlockSize, 1);
   std::vector<uint8_t> v2(kBlockSize, 2);
-  ASSERT_OK(store->Put(fid, 0, v1));
-  ASSERT_OK(store->Put(fid, 0, v2));
+  ASSERT_OK(PutBytes(*store, fid, 0, v1));
+  ASSERT_OK(PutBytes(*store, fid, 0, v2));
   std::vector<uint8_t> out(kBlockSize);
-  ASSERT_OK(store->Get(fid, 0, out));
+  ASSERT_OK(GetBytes(*store, fid, 0, out));
   EXPECT_EQ(out[0], 2);
 }
 
@@ -105,14 +105,14 @@ TEST(MemoryCacheStoreTest, EraseAndEraseFile) {
   MemoryCacheStore store;
   Fid fid{1, 2, 3};
   std::vector<uint8_t> block(kBlockSize, 9);
-  ASSERT_OK(store.Put(fid, 0, block));
-  ASSERT_OK(store.Put(fid, 1, block));
+  ASSERT_OK(PutBytes(store, fid, 0, block));
+  ASSERT_OK(PutBytes(store, fid, 1, block));
   store.Erase(fid, 0);
   std::vector<uint8_t> out(kBlockSize);
-  EXPECT_EQ(store.Get(fid, 0, out).code(), ErrorCode::kNotFound);
-  ASSERT_OK(store.Get(fid, 1, out));
+  EXPECT_EQ(GetBytes(store, fid, 0, out).code(), ErrorCode::kNotFound);
+  ASSERT_OK(GetBytes(store, fid, 1, out));
   store.EraseFile(fid);
-  EXPECT_EQ(store.Get(fid, 1, out).code(), ErrorCode::kNotFound);
+  EXPECT_EQ(GetBytes(store, fid, 1, out).code(), ErrorCode::kNotFound);
   EXPECT_EQ(store.bytes_used(), 0u);
 }
 
@@ -125,7 +125,7 @@ TEST(DiskCacheStoreTest, EraseFreesCacheFiles) {
   std::vector<uint8_t> block(kBlockSize, 7);
   for (uint64_t i = 0; i < 10'000; ++i) {
     Fid fid{1, 1 + i, 1};
-    Status put = (*store)->Put(fid, i % 3, block);
+    Status put = PutBytes(**store, fid, i % 3, block);
     ASSERT_TRUE(put.ok()) << "cycle " << i << ": " << put.ToString();
     (*store)->Erase(fid, i % 3);
   }
@@ -150,6 +150,44 @@ TEST(ClientCacheTest, CreateWriteRemoveReclaimsTheCacheDisk) {
     ASSERT_OK(WriteFileAt(*vfs, path, data, TestCred()));
     ASSERT_OK(UnlinkAt(*vfs, path));
   }
+}
+
+TEST(ClientCacheTest, SmallCacheDiskServesAnLruSizedWorkingSet) {
+  // A cache disk an eighth of the default serves a working set several
+  // times its size when the LRU bound fits the disk: clean blocks are
+  // evicted, and each cache file is unlinked once its last block goes.
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  constexpr int kFiles = 64;
+  constexpr size_t kFileBlocks = 16;
+  CacheManager* seeder = rig->NewClient("alice");
+  ASSERT_OK_AND_ASSIGN(VfsRef svfs, seeder->MountVolume("home"));
+  for (int i = 0; i < kFiles; ++i) {
+    std::string path = "/ws" + std::to_string(i);
+    ASSERT_OK(CreateFileAt(*svfs, path, 0644, TestCred()).status());
+    ASSERT_OK(WriteFileAt(*svfs, path, std::string(kFileBlocks * kBlockSize, 'a' + i % 26),
+                          TestCred()));
+  }
+  ASSERT_OK(seeder->SyncAll());
+
+  CacheManager::Options opts;
+  opts.cache_disk_blocks = 512;
+  opts.max_cached_blocks = 128;
+  CacheManager* reader = rig->NewClient("bob", opts);
+  ASSERT_OK_AND_ASSIGN(VfsRef rvfs, reader->MountVolume("home"));
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int i = 0; i < kFiles; ++i) {
+      std::string path = "/ws" + std::to_string(i);
+      SCOPED_TRACE(path);
+      ASSERT_OK_AND_ASSIGN(std::string back, ReadFileAt(*rvfs, path));
+      EXPECT_EQ(back, std::string(kFileBlocks * kBlockSize, 'a' + i % 26));
+    }
+  }
+  CacheManager::Stats s = reader->stats();
+  EXPECT_GE(s.cache_evictions, 2 * kFiles * kFileBlocks - 2 * opts.max_cached_blocks);
+  // The disk store copies on every put and get, so copies run well past the
+  // one copy-out per byte a sharing memory store would cost.
+  EXPECT_GE(s.bytes_copied, 2 * s.bytes_moved);
 }
 
 TEST(ClientCacheTest, AlternatingReaderAndWriterDoNotStackStatusTokens) {
@@ -430,68 +468,14 @@ TEST(ClientCacheTest, SequentialReadAheadCutsRpcs) {
       << " without=" << rpcs_without << ")";
 }
 
-TEST(ClientCacheTest, WriteBehindFlushesDirtyDataDuringIdleTime) {
-  auto rig = DfsRig::Create();
-  CacheManager::Options opts;
-  opts.write_behind = true;
-  opts.write_behind_interval_ms = 5;
-  CacheManager* writer = rig->NewClient("alice", opts);
-  ASSERT_OK_AND_ASSIGN(VfsRef vfs, writer->MountVolume("home"));
-  ASSERT_OK(CreateFileAt(*vfs, "/wb", 0666, TestCred()).status());
-  ASSERT_OK(WriteFileAt(*vfs, "/wb", std::string(3 * kBlockSize, 'w'), TestCred()));
-
-  // No fsync, no revocation: the idle-time flusher alone must push the dirty
-  // blocks to the server within a few passes.
-  for (int i = 0; i < 400 && writer->stats().write_behind_stores == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GT(writer->stats().write_behind_stores, 0u);
-
-  // With the data already at the server, a reader's conflicting grant finds
-  // nothing left to store on the revocation path.
-  uint64_t revocation_stores_before = writer->stats().revocation_stores;
-  CacheManager* reader = rig->NewClient("bob");
-  ASSERT_OK_AND_ASSIGN(VfsRef rv, reader->MountVolume("home"));
-  ASSERT_OK_AND_ASSIGN(std::string back, ReadFileAt(*rv, "/wb"));
-  EXPECT_EQ(back, std::string(3 * kBlockSize, 'w'));
-  EXPECT_EQ(writer->stats().revocation_stores, revocation_stores_before);
-}
-
-TEST(ClientCacheTest, WriteBehindAgeThresholdKeepsYoungDataLocal) {
-  // The classic 30-second rule: with an age threshold set, freshly dirtied
-  // data must not hit the wire even though the flusher keeps passing — only
-  // data older than the threshold is flushed in the background.
-  auto rig = DfsRig::Create();
-  CacheManager::Options opts;
-  opts.write_behind = true;
-  opts.write_behind_interval_ms = 5;
-  opts.write_behind_age_ms = 60'000;
-  CacheManager* writer = rig->NewClient("alice", opts);
-  ASSERT_OK_AND_ASSIGN(VfsRef vfs, writer->MountVolume("home"));
-  ASSERT_OK(CreateFileAt(*vfs, "/young", 0666, TestCred()).status());
-  ASSERT_OK(WriteFileAt(*vfs, "/young", std::string(2 * kBlockSize, 'y'), TestCred()));
-
-  // Many flusher passes elapse, but the data stays younger than the
-  // threshold, so it stays local (and on the dirty list).
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_EQ(writer->stats().write_behind_stores, 0u);
-  EXPECT_GT(writer->DirtyListSize(), 0u);
-
-  // An explicit sync still pushes on demand, regardless of age.
-  ASSERT_OK(writer->SyncAll());
-  EXPECT_GT(writer->stats().dirty_stores, 0u);
-  EXPECT_EQ(writer->stats().write_behind_stores, 0u);
-}
-
-TEST(ClientCacheTest, WriteBehindOffByDefaultPreservesRevocationStores) {
-  // The flusher must stay opt-in: with it off, dirty data travels on the
-  // revocation path exactly as the integration tests assert.
+TEST(ClientCacheTest, DirtyDataLeavesOnRevocation) {
+  // Without an fsync, dirty data stays local until a peer's conflicting
+  // grant revokes the write token; it then travels on the revocation path.
   auto rig = DfsRig::Create();
   CacheManager* writer = rig->NewClient("alice");
   ASSERT_OK_AND_ASSIGN(VfsRef vfs, writer->MountVolume("home"));
   ASSERT_OK(WriteFileAt(*vfs, "/plain", "never flushed early", TestCred()));
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_EQ(writer->stats().write_behind_stores, 0u);
   EXPECT_EQ(writer->stats().dirty_stores, 0u);
 
   CacheManager* reader = rig->NewClient("bob");
@@ -500,6 +484,40 @@ TEST(ClientCacheTest, WriteBehindOffByDefaultPreservesRevocationStores) {
   EXPECT_EQ(back, "never flushed early");
   EXPECT_GT(writer->stats().revocation_stores, 0u);
 }
+
+// Overwrites merge into cached blocks over either store: a whole-block
+// overwrite replaces the block outright, and a span across two blocks merges
+// into both of their old bytes.
+class ClientCacheOverwriteTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ClientCacheOverwriteTest, WholeAndPartialBlockOverwritesMerge) {
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  CacheManager::Options opts;
+  opts.diskless = GetParam();
+  CacheManager* writer = rig->NewClient("alice", opts);
+  ASSERT_OK_AND_ASSIGN(VfsRef vfs, writer->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(VnodeRef file, CreateFileAt(*vfs, "/merge", 0666, TestCred()));
+
+  std::string expect(3 * kBlockSize, 'a');
+  ASSERT_OK(file->Write(0, std::vector<uint8_t>(expect.begin(), expect.end())).status());
+  ASSERT_OK(file->Write(kBlockSize, std::vector<uint8_t>(kBlockSize, 'b')).status());
+  expect.replace(kBlockSize, kBlockSize, std::string(kBlockSize, 'b'));
+  const uint64_t span_off = kBlockSize + kBlockSize / 2;
+  ASSERT_OK(file->Write(span_off, std::vector<uint8_t>(kBlockSize, 'c')).status());
+  expect.replace(span_off, kBlockSize, std::string(kBlockSize, 'c'));
+  ASSERT_OK(writer->Fsync(file->fid()));
+
+  CacheManager* reader = rig->NewClient("bob");
+  ASSERT_OK_AND_ASSIGN(VfsRef rv, reader->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(std::string back, ReadFileAt(*rv, "/merge"));
+  EXPECT_EQ(back, expect);
+}
+
+INSTANTIATE_TEST_SUITE_P(StoreModes, ClientCacheOverwriteTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "Diskless" : "Disk");
+                         });
 
 }  // namespace
 }  // namespace dfs

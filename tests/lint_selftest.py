@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Self-test for the static-analysis lints (tools/lint_lock_hierarchy.py and
-tools/lint_annotation_coverage.py).
+"""Self-test for the static-analysis lints (tools/lint_lock_hierarchy.py,
+tools/lint_annotation_coverage.py and tools/lint_options_used.py).
 
 A lint that silently stops matching the codebase's idioms fails open: it keeps
 printing OK while checking nothing. This test pins each lint's behaviour
@@ -8,9 +8,9 @@ against known-bad and known-good fixtures (tests/lint_fixtures/): every
 known-bad snippet must produce the expected finding, every known-good snippet
 must produce none.
 
-Each case runs in an isolated temporary repo-root (the fixture copied under
-src/client/, plus the real src/common/lock_order.h so the LockLevel enum is
-the production one). Isolation matters: the lints index member names
+Each case runs in an isolated temporary repo-root (each fixture copied under
+src/client/, or to the path its case names, plus the real
+src/common/lock_order.h so the LockLevel enum is the production one). Isolation matters: the lints index member names
 repo-wide, so a bad fixture must not leak bindings into a good case.
 
 Run as:  lint_selftest.py [repo_root]
@@ -41,7 +41,9 @@ def make_root(tmp: str, repo: Path, fixtures) -> Path:
     for d in LINTED_DIRS:
         (root / d).mkdir(parents=True, exist_ok=True)
     for f in fixtures:
-        shutil.copy(repo / "tests/lint_fixtures" / f, root / "src/client" / f)
+        src, dest = f if isinstance(f, tuple) else (f, "src/client/" + f)
+        (root / dest).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(repo / "tests/lint_fixtures" / src, root / dest)
     return root
 
 
@@ -52,7 +54,12 @@ def run_lint(mod, root: Path):
     return rc, out.getvalue()
 
 
-# (lint module, fixture file, expected rc, substring the output must contain)
+# The options-used lint reads the Options header and a user under tests/.
+OPTIONS_USER = ("options_user.cc", "tests/options_user.cc")
+
+# (lint module, fixtures, expected rc, substring the output must contain).
+# A fixture is a file name (copied under src/client/) or a (file, destination)
+# pair.
 CASES = [
     ("lint_lock_hierarchy", "bad_inversion.cc", 1, "hierarchy inversion"),
     ("lint_lock_hierarchy", "bad_same_level.cc", 1, "same-level acquisition"),
@@ -61,17 +68,24 @@ CASES = [
     ("lint_annotation_coverage", "bad_unguarded_member.h", 1, "unguarded_counter_"),
     ("lint_annotation_coverage", "bad_stale_annotation.h", 1, "renamed_away_mu_"),
     ("lint_annotation_coverage", "good_annotated.h", 0, "annotation-coverage lint OK"),
+    ("lint_options_used",
+     [("bad_options_unused.h", "src/client/cache_manager.h"), OPTIONS_USER], 1,
+     "CacheManager::Options::orphan_knob is set in no file"),
+    ("lint_options_used",
+     [("good_options_used.h", "src/client/cache_manager.h"), OPTIONS_USER], 0,
+     "options-used lint OK"),
 ]
 
 
 def main(argv: list) -> int:
     repo = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent
-    mods = {name: load_tool(repo, name) for name in
-            {"lint_lock_hierarchy", "lint_annotation_coverage"}}
+    mods = {name: load_tool(repo, name) for name in {case[0] for case in CASES}}
     failures = []
-    for lint, fixture, want_rc, want_text in CASES:
+    for lint, fixtures, want_rc, want_text in CASES:
+        fixtures = fixtures if isinstance(fixtures, list) else [fixtures]
+        fixture = ", ".join(f if isinstance(f, str) else f[0] for f in fixtures)
         with tempfile.TemporaryDirectory() as tmp:
-            root = make_root(tmp, repo, [fixture])
+            root = make_root(tmp, repo, fixtures)
             rc, out = run_lint(mods[lint], root)
         if rc != want_rc:
             failures.append(f"{lint} on {fixture}: exit {rc}, expected {want_rc}\n{out}")

@@ -18,6 +18,7 @@
 
 #include "src/client/persist/persistent_cache.h"
 #include "src/vfs/path.h"
+#include "tests/cache_store_util.h"
 #include "tests/dfs_rig.h"
 #include "tests/test_util.h"
 
@@ -69,7 +70,7 @@ TEST(PersistentStoreTest, RoundTripAndWarmReopen) {
                               /*data_version=*/5, /*file_size=*/3 * kBlockSize));
     ASSERT_OK(store->PutBlock(f, 2, Fill(0x22), /*dirty=*/true, 100, 5, 3 * kBlockSize));
     std::vector<uint8_t> out(kBlockSize);
-    ASSERT_OK(store->Get(f, 0, out));
+    ASSERT_OK(GetBytes(*store, f, 0, out));
     EXPECT_TRUE(Uniform(out, 0x11));
     EXPECT_GT(store->bytes_used(), 0u);
     ASSERT_OK(store->Journal(JournalOp::kGrant,
@@ -98,9 +99,9 @@ TEST(PersistentStoreTest, RoundTripAndWarmReopen) {
   EXPECT_EQ(store->recovered().tokens[0].epoch, 4u);
   // The data survived the reboot too.
   std::vector<uint8_t> out(kBlockSize);
-  ASSERT_OK(store->Get(f, 0, out));
+  ASSERT_OK(GetBytes(*store, f, 0, out));
   EXPECT_TRUE(Uniform(out, 0x11));
-  ASSERT_OK(store->Get(f, 2, out));
+  ASSERT_OK(GetBytes(*store, f, 2, out));
   EXPECT_TRUE(Uniform(out, 0x22));
 }
 
@@ -200,7 +201,7 @@ TEST(PersistentStoreTest, EvictionStaysWithinCapacity) {
   EXPECT_LE(store->bytes_used(), slots * kBlockSize);
   // The most recent put always survives.
   std::vector<uint8_t> out(kBlockSize);
-  ASSERT_OK(store->Get(f, slots + 7, out));
+  ASSERT_OK(GetBytes(*store, f, slots + 7, out));
   EXPECT_TRUE(Uniform(out, uint8_t((slots + 7) & 0xFF)));
 }
 
@@ -274,11 +275,11 @@ TEST(PersistentStoreTest, CrashPointSweepRecoversFromAnyPrefix) {
       ASSERT_EQ(blocks.count(0), 1u);
       EXPECT_FALSE(blocks[0].dirty);
       EXPECT_EQ(blocks[0].data_version, 2u);
-      ASSERT_OK(store->Get(a, 0, out));
+      ASSERT_OK(GetBytes(*store, a, 0, out));
       EXPECT_TRUE(Uniform(out, 0xA3));
     } else if (blocks.count(0) != 0) {
       EXPECT_FALSE(blocks[0].dirty);
-      ASSERT_OK(store->Get(a, 0, out));
+      ASSERT_OK(GetBytes(*store, a, 0, out));
       if (blocks[0].data_version == 2) {
         EXPECT_TRUE(Uniform(out, 0xA3));  // commit landed, ack did not
       } else {
@@ -296,7 +297,7 @@ TEST(PersistentStoreTest, CrashPointSweepRecoversFromAnyPrefix) {
       EXPECT_TRUE(blocks[1].dirty || blocks[1].data_version == 3);
     }
     if (blocks.count(1) != 0) {
-      ASSERT_OK(store->Get(a, 1, out));
+      ASSERT_OK(GetBytes(*store, a, 1, out));
       EXPECT_TRUE(Uniform(out, 0xA2));
     }
     if (acked[1] && !acked[3]) {
@@ -324,7 +325,7 @@ TEST(PersistentStoreTest, CrashPointSweepRecoversFromAnyPrefix) {
     // And the reopened store is fully usable.
     Fid b{1, 21, 1};
     ASSERT_OK(store->PutBlock(b, 0, Fill(0x55), false, 9, 9, kBlockSize));
-    ASSERT_OK(store->Get(b, 0, out));
+    ASSERT_OK(GetBytes(*store, b, 0, out));
     EXPECT_TRUE(Uniform(out, 0x55));
   }
 }
@@ -333,7 +334,6 @@ TEST(PersistentStoreTest, CrashPointSweepRecoversFromAnyPrefix) {
 
 CacheManager::Options PersistentClientOptions(SimDisk* disk) {
   CacheManager::Options copts;
-  copts.persistent_cache = true;
   copts.persistent_cache_disk = disk;
   copts.node = kFirstClientNode;  // reboots keep the host identity
   return copts;

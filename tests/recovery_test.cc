@@ -448,40 +448,6 @@ TEST(RecoveryTest, RevokeBatchEndToEnd) {
   EXPECT_GE(rig->server->tokens().stats().host_batches, 1u);
 }
 
-// --- Write-behind dirty list ---
-
-TEST(RecoveryTest, FlusherWalksDirtyListNotEveryCvnode) {
-  auto rig = DfsRig::Create();
-  ASSERT_NE(rig, nullptr);
-  CacheManager::Options copts;
-  copts.write_behind = true;
-  copts.write_behind_interval_ms = 10;
-  CacheManager* alice = rig->NewClient("alice", copts);
-  ASSERT_OK_AND_ASSIGN(VfsRef avfs, alice->MountVolume("home"));
-
-  // Ten files written and synced: clean, but listed until the flusher's next
-  // pass lazily retires them. One file stays dirty.
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_OK(WriteShared(*avfs, "/clean" + std::to_string(i), "data", TestCred()));
-  }
-  ASSERT_OK(alice->SyncAll());
-  ASSERT_OK(WriteShared(*avfs, "/dirty", "not yet stored", TestCred()));
-  EXPECT_GE(alice->DirtyListSize(), 1u);
-
-  // The flusher pushes the dirty file and drains the list to empty.
-  for (int i = 0; i < 200 && alice->DirtyListSize() > 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(alice->DirtyListSize(), 0u);
-  EXPECT_GE(alice->stats().write_behind_stores, 1u);
-
-  // And the data really reached the server: a second client reads it.
-  CacheManager* bob = rig->NewClient("bob");
-  ASSERT_OK_AND_ASSIGN(VfsRef bvfs, bob->MountVolume("home"));
-  ASSERT_OK_AND_ASSIGN(std::string back, ReadFileAt(*bvfs, "/dirty"));
-  EXPECT_EQ(back, "not yet stored");
-}
-
 // --- Shard-lock contention counters ---
 
 TEST(RecoveryTest, ShardLockCountersAccumulate) {
