@@ -20,12 +20,18 @@
 // ratio (bytes memcpy'd anywhere on the path / payload bytes that crossed
 // the wire — the zero-copy work drives it toward 1), and a 64-client
 // saturation phase (everyone scanning the same file through the slice path).
+// A re-scan phase records the server's token count for a file one
+// synchronous-path reader with a quarter-file cache scans 8 times: every
+// pass refetches evicted blocks, and the count shows whether refetches
+// match held tokens or mint new ones (a deterministic counter).
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/report.h"
@@ -154,6 +160,39 @@ double WriteOnce(DfsRig& rig, const std::string& path, size_t prefetch_threads) 
 
 double Best(double a, double b) { return a > b ? a : b; }
 
+// Scans `path` kRescanPasses times with one synchronous-path reader whose
+// cache holds a quarter of the file; returns the server's token count for
+// the file after the first pass and after the last, or nullopt on failure.
+constexpr int kRescanPasses = 8;
+std::optional<std::pair<size_t, size_t>> RescanTokens(DfsRig& rig, const std::string& path) {
+  CacheManager::Options opts;
+  opts.diskless = true;
+  opts.max_cached_blocks = kFileBlocks / 4;
+  CacheManager* reader = rig.NewClient("alice", opts);
+  auto vfs = reader->MountVolume("home");
+  if (!vfs.ok()) {
+    return std::nullopt;
+  }
+  auto f = ResolvePath(**vfs, path);
+  if (!f.ok()) {
+    return std::nullopt;
+  }
+  size_t first = 0;
+  for (int pass = 1; pass <= kRescanPasses; ++pass) {
+    for (uint64_t off = 0; off < kFileBytes; off += kReadChunk) {
+      if (!(*f)->ReadSlices(off, kReadChunk).ok()) {
+        return std::nullopt;
+      }
+    }
+    if (pass == 1) {
+      first = rig.server->tokens().TokensForFid((*f)->fid()).size();
+    }
+  }
+  size_t last = rig.server->tokens().TokensForFid((*f)->fid()).size();
+  (void)reader->ReturnAllTokens();
+  return std::make_pair(first, last);
+}
+
 }  // namespace
 
 int main() {
@@ -232,6 +271,22 @@ int main() {
   report.Metric("scan_bytes_copied_at_4", (double)scan_copy.copied, "bytes");
   report.Metric("scan_bytes_moved_at_4", (double)scan_copy.moved, "bytes");
   report.Metric("scan_copy_ratio_at_4", scan_copy.ratio(), "copied/moved");
+
+  std::string rpath = "/rescan";
+  if (!Seed(*rig, rpath)) {
+    return 1;
+  }
+  auto rescan = RescanTokens(*rig, rpath);
+  if (!rescan.has_value()) {
+    return 1;
+  }
+  std::printf("re-scan: %d passes, %llu-block cache: server tokens for the file %zu after "
+              "pass 1, %zu after pass %d (expected: no growth)\n",
+              kRescanPasses, (unsigned long long)(kFileBlocks / 4), rescan->first,
+              rescan->second, kRescanPasses);
+  report.Metric("rescan_tokens_after_pass_1", (double)rescan->first, "tokens");
+  report.Metric("rescan_tokens_after_pass_" + std::to_string(kRescanPasses),
+                (double)rescan->second, "tokens");
 
   // --- 64-client saturation: everyone scans the same file through the slice
   // path. Read tokens are shared, so this

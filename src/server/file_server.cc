@@ -607,16 +607,9 @@ FileServer::Body FileServer::DoStoreData(const RpcRequest& req, Reader& r,
   // holds it) and is pre-authorized by the token being revoked (Section 6.4).
   MaybeLockGuard l2(revocation_path ? nullptr : &vnode_locks_.Get(fid));
   if (!revocation_path) {
-    // The client must hold a write data token covering the range.
-    bool covered = false;
-    for (const Token& t : tokens_.TokensForFid(fid)) {
-      if (t.host == req.from && (t.types & kTokenDataWrite) &&
-          t.range.Contains(ByteRange{offset, offset + total})) {
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) {
+    // The client's write data tokens must cover the range — by union, the
+    // rule the client used to decide it needed no new grant.
+    if (!tokens_.Covers(req.from, fid, kTokenDataWrite, ByteRange{offset, offset + total})) {
       return Status(ErrorCode::kConflict, "store without a covering write data token");
     }
   }

@@ -76,6 +76,30 @@ struct Token {
   static Result<Token> Deserialize(Reader& r);
 };
 
+// Coverage by union: true when the tokens `for_each` offers cover `range`
+// together, however they split it. `for_each(extend)` calls `extend(token)`
+// for every candidate token; extend returns true when that token pushed the
+// covered prefix further. The sweep runs from range.start through whichever
+// token reaches furthest, so it is quadratic in the candidates — a handful
+// per file, because clients match held tokens before asking for new ones.
+template <typename ForEach>
+bool CoveredByUnion(const ByteRange& range, ForEach&& for_each) {
+  uint64_t reached = range.start;
+  bool progressed = true;
+  while (reached < range.end && progressed) {
+    progressed = false;
+    for_each([&](const Token& t) {
+      if (t.range.start <= reached && t.range.end > reached) {
+        reached = t.range.end;
+        progressed = true;
+        return true;
+      }
+      return false;
+    });
+  }
+  return reached >= range.end;
+}
+
 // Figure 3: may two different clients hold these open modes simultaneously?
 // Reconstructed from the Section 5.2/5.4 semantics (UNIX allows concurrent
 // read/write opens; writing a file open for execution is forbidden; shared

@@ -571,6 +571,36 @@ bool TokenManager::HasToken(TokenId id) const {
   return false;
 }
 
+bool TokenManager::Covers(HostId host, const Fid& fid, uint32_t types,
+                          const ByteRange& range) const {
+  auto table = SnapshotTable();
+  Shard& shard = ShardFor(*table, fid.volume);
+  ShardGuard lock(shard);
+  auto fit = shard.by_fid.find(fid);
+  for (uint32_t bit = 1; bit != 0 && types != 0; bit <<= 1) {
+    if ((types & bit) == 0) {
+      continue;
+    }
+    types &= ~bit;
+    bool covered = CoveredByUnion(range, [&](const auto& extend) {
+      shard.mu.AssertHeld();  // the enclosing guard; lambdas are analyzed alone
+      if (fit == shard.by_fid.end()) {
+        return;
+      }
+      for (TokenId id : fit->second) {
+        const Token& t = shard.tokens.at(id);
+        if (t.host == host && (t.types & bit) != 0) {
+          extend(t);
+        }
+      }
+    });
+    if (!covered) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::vector<Token> TokenManager::TokensForFid(const Fid& fid) const {
   auto table = SnapshotTable();
   Shard& shard = ShardFor(*table, fid.volume);

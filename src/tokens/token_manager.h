@@ -162,6 +162,11 @@ class TokenManager {
   Status Reassert(const Token& token);
 
   bool HasToken(TokenId id) const;
+  // True when `host`'s tokens on `fid` cover `range` for every type in
+  // `types`, by union (several adjacent grants compose). Every type is
+  // checked by range. Evaluated under the shard lock, without copying the
+  // fid's tokens.
+  bool Covers(HostId host, const Fid& fid, uint32_t types, const ByteRange& range) const;
   std::vector<Token> TokensForFid(const Fid& fid) const;
   std::vector<Token> TokensForHost(HostId host) const;
   // Aggregated across shards.

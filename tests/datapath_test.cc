@@ -34,15 +34,21 @@ void SeedFile(DfsRig& rig, const std::string& path, uint64_t blocks, char fill) 
 }
 
 // Stands in front of the rig's file server on the network so a test can
-// hold or fail chosen requests before the server sees them. The server gets
-// its own registration back when the gate goes away.
+// hold or fail chosen requests before the server sees them, or hold a reply
+// after the server produced it. The server gets its own registration back
+// when the gate goes away.
 class ServerGate : public RpcHandler {
  public:
   // Runs on the server's worker thread for every request and may block.
   // Returns an error to fail the request with, or nullopt to pass it on.
   using Hook = std::function<std::optional<Status>(const RpcRequest&)>;
+  // Runs on the server's worker thread once the server has answered a passed
+  // request, before the reply leaves; it may block, holding a reply that
+  // carries the server's state of that moment.
+  using AfterHook = std::function<void(const RpcRequest&)>;
 
-  ServerGate(DfsRig& rig, Hook hook) : rig_(rig), hook_(std::move(hook)) {
+  ServerGate(DfsRig& rig, Hook hook, AfterHook after = nullptr)
+      : rig_(rig), hook_(std::move(hook)), after_(std::move(after)) {
     rig_.net.UnregisterNode(kServerNode);
     EXPECT_OK(rig_.net.RegisterNode(kServerNode, this, rig_.server_options.rpc));
   }
@@ -57,7 +63,11 @@ class ServerGate : public RpcHandler {
     if (std::optional<Status> failure = hook_(request)) {
       return EncodeErrorReply(*failure);
     }
-    return rig_.server->Handle(request);
+    Result<WireMessage> reply = rig_.server->Handle(request);
+    if (after_ != nullptr) {
+      after_(request);
+    }
+    return reply;
   }
   bool IsRevocationPathProc(uint32_t proc) const override {
     return rig_.server->IsRevocationPathProc(proc);
@@ -66,6 +76,7 @@ class ServerGate : public RpcHandler {
  private:
   DfsRig& rig_;
   Hook hook_;
+  AfterHook after_;
 };
 
 // The byte offset a kFetchData or kStoreData request starts at.
@@ -335,12 +346,229 @@ TEST_P(DatapathChunkTest, FailedFetchLeavesCacheAsFound) {
   EXPECT_EQ(all, std::vector<uint8_t>(all.size(), 'f'));
 }
 
+TEST_P(DatapathChunkTest, MatchedFetchDropsBytesWhoseTokenWasRevoked) {
+  // The reader holds a whole-file data-read token, so its read of blocks
+  // 16-31 matches it and asks for no grant. The server reads the old bytes
+  // and the reply is held. Meanwhile a writer rewrites block 20 and fsyncs,
+  // which revokes the matched token. The released reply must not install:
+  // its bytes predate the write. The read's retry is failed on purpose, so
+  // nothing refetches the range, and a later whole-file grant taken by a
+  // read of block 0 must not find old bytes of block 20 to vouch for.
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  constexpr uint64_t kBlocks = 32;
+  constexpr uint64_t kHeldOffset = 16 * kBlockSize;
+  SeedFile(*rig, "/match", kBlocks, 'a');
+  CacheManager::Options ropts = ClientOptions();
+  ropts.whole_file_data_tokens = true;
+  CacheManager* reader = rig->NewClient("alice", ropts);
+  CacheManager* writer = rig->NewClient("bob");
+  ASSERT_OK_AND_ASSIGN(VfsRef rv, reader->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(VfsRef wv, writer->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(VnodeRef rf, ResolvePath(*rv, "/match"));
+  ASSERT_OK_AND_ASSIGN(VnodeRef wf, ResolvePath(*wv, "/match"));
+  std::vector<uint8_t> block(kBlockSize);
+  ASSERT_OK(rf->Read(0, block).status());  // takes the whole-file token
+
+  std::vector<uint8_t> range((kBlocks - 16) * kBlockSize);
+  {
+    Latch reply_held;
+    Latch release;
+    std::atomic<int> fetches{0};
+    std::atomic<bool> stuck{false};
+    auto held_fetch = [&](const RpcRequest& req) {
+      return req.proc == kFetchData && req.from == reader->node() &&
+             RequestOffset(req) == kHeldOffset;
+    };
+    ServerGate gate(
+        *rig,
+        [&](const RpcRequest& req) -> std::optional<Status> {
+          if (held_fetch(req) && fetches.fetch_add(1) > 0) {
+            return Status(ErrorCode::kIoError, "injected retry failure");
+          }
+          return std::nullopt;
+        },
+        [&](const RpcRequest& req) {
+          if (held_fetch(req)) {
+            reply_held.Open();
+            if (!release.Wait()) {
+              stuck = true;
+            }
+          }
+        });
+    Status first_read = Status::Ok();
+    std::thread reading([&] { first_read = rf->Read(kHeldOffset, range).status(); });
+    Status wrote = reply_held.Wait()
+                       ? wf->Write(20 * kBlockSize, std::vector<uint8_t>(kBlockSize, 'b')).status()
+                       : Status(ErrorCode::kTimedOut, "the reader's fetch never reached the server");
+    Status synced = wrote.ok() ? writer->Fsync(wf->fid()) : wrote;
+    release.Open();
+    reading.join();
+    ASSERT_OK(wrote);
+    ASSERT_OK(synced);
+    EXPECT_FALSE(stuck);
+    EXPECT_EQ(first_read.code(), ErrorCode::kIoError) << "the retry is failed on purpose";
+    EXPECT_EQ(fetches.load(), 2) << "the revoked match must send the read back to the server";
+  }
+  EXPECT_GE(reader->stats().match_drops, 1u);
+
+  ASSERT_OK(rf->Read(0, block).status());  // a fresh whole-file grant
+  EXPECT_EQ(block[0], 'a');
+  ASSERT_OK_AND_ASSIGN(size_t n, rf->Read(kHeldOffset, range));
+  ASSERT_EQ(n, range.size());
+  for (uint64_t b = 16; b < kBlocks; ++b) {
+    EXPECT_EQ(range[(b - 16) * kBlockSize], b == 20 ? 'b' : 'a') << "block " << b;
+  }
+}
+
+TEST_P(DatapathChunkTest, MatchedPrefetchWindowDropsBytesWhoseTokenWasRevoked) {
+  // The same race for a readahead window: the window over blocks 2-5 matches
+  // the reader's whole-file token, its reply (old bytes) is held while a
+  // writer rewrites block 3 and fsyncs, and the released window must not
+  // install. The read that follows sees the new block 3.
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  constexpr uint64_t kBlocks = 32;
+  SeedFile(*rig, "/window", kBlocks, 'a');
+  CacheManager::Options ropts = ClientOptions();
+  ropts.whole_file_data_tokens = true;
+  ropts.readahead_min_blocks = 4;
+  ropts.readahead_max_blocks = 4;
+  CacheManager* reader = rig->NewClient("alice", ropts);
+  CacheManager* writer = rig->NewClient("bob");
+  ASSERT_OK_AND_ASSIGN(VfsRef rv, reader->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(VfsRef wv, writer->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(VnodeRef rf, ResolvePath(*rv, "/window"));
+  ASSERT_OK_AND_ASSIGN(VnodeRef wf, ResolvePath(*wv, "/window"));
+  std::vector<uint8_t> block(kBlockSize);
+  ASSERT_OK(rf->Read(0, block).status());  // takes the whole-file token
+
+  Latch reply_held;
+  Latch release;
+  std::atomic<bool> holding{true};
+  std::atomic<bool> stuck{false};
+  ServerGate gate(
+      *rig, [](const RpcRequest&) -> std::optional<Status> { return std::nullopt; },
+      [&](const RpcRequest& req) {
+        if (req.proc == kFetchData && req.from == reader->node() &&
+            RequestOffset(req) == 2 * kBlockSize && holding.exchange(false)) {
+          reply_held.Open();
+          if (!release.Wait()) {
+            stuck = true;
+          }
+        }
+      });
+  uint64_t dropped_before = reader->stats().prefetch_cancelled + reader->stats().match_drops;
+  ASSERT_OK(rf->Read(kBlockSize, block).status());  // sequential: starts the window
+  Status wrote = reply_held.Wait()
+                     ? wf->Write(3 * kBlockSize, std::vector<uint8_t>(kBlockSize, 'b')).status()
+                     : Status(ErrorCode::kTimedOut, "the window never reached the server");
+  Status synced = wrote.ok() ? writer->Fsync(wf->fid()) : wrote;
+  release.Open();
+  ASSERT_OK(wrote);
+  ASSERT_OK(synced);
+  EXPECT_FALSE(stuck);
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (reader->stats().prefetch_cancelled + reader->stats().match_drops == dropped_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(reader->stats().prefetch_cancelled + reader->stats().match_drops, dropped_before)
+      << "the released window must be dropped";
+  for (uint64_t b = 2; b < 6; ++b) {
+    ASSERT_OK(rf->Read(b * kBlockSize, block).status());
+    EXPECT_EQ(block[0], b == 3 ? 'b' : 'a') << "block " << b;
+  }
+}
+
+TEST_P(DatapathChunkTest, AdjacentWriteTokensCoverOneStore) {
+  // Two writes leave the client two adjacent write tokens, over blocks 0-3
+  // and 4-7. The fsync pushes the 8-block run in one kStoreData: the server
+  // checks coverage by union, as the client does, so the store neither
+  // bounces kConflict nor refetches one covering token.
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  CacheManager* a = rig->NewClient("alice", ClientOptions());
+  ASSERT_OK_AND_ASSIGN(VfsRef av, a->MountVolume("home"));
+  ASSERT_OK(CreateFileAt(*av, "/adjacent", 0666, TestCred()).status());
+  ASSERT_OK_AND_ASSIGN(VnodeRef af, ResolvePath(*av, "/adjacent"));
+  ASSERT_OK(af->Write(0, std::vector<uint8_t>(4 * kBlockSize, 'x')).status());
+  ASSERT_OK(af->Write(4 * kBlockSize, std::vector<uint8_t>(4 * kBlockSize, 'y')).status());
+  size_t write_tokens = 0;
+  for (const Token& t : rig->server->tokens().TokensForFid(af->fid())) {
+    if (t.host == a->node() && (t.types & kTokenDataWrite) != 0) {
+      ++write_tokens;
+    }
+  }
+  ASSERT_EQ(write_tokens, 2u) << "each write must take its own adjacent token";
+
+  std::atomic<int> stores{0};
+  std::atomic<int> fetches{0};
+  {
+    ServerGate gate(*rig, [&](const RpcRequest& req) -> std::optional<Status> {
+      if (req.from == a->node()) {
+        stores += req.proc == kStoreData ? 1 : 0;
+        fetches += req.proc == kFetchData ? 1 : 0;
+      }
+      return std::nullopt;
+    });
+    ASSERT_OK(a->Fsync(af->fid()));
+  }
+  EXPECT_EQ(stores.load(), 1);
+  EXPECT_EQ(fetches.load(), 0);
+
+  CacheManager* c = rig->NewClient("root");
+  ASSERT_OK_AND_ASSIGN(VfsRef cv, c->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(std::string back, ReadFileAt(*cv, "/adjacent"));
+  EXPECT_EQ(back, std::string(4 * kBlockSize, 'x') + std::string(4 * kBlockSize, 'y'));
+}
+
 INSTANTIATE_TEST_SUITE_P(ChunkSizes, DatapathChunkTest,
                          ::testing::Values(uint64_t{0}, uint64_t{8 * kBlockSize}),
                          [](const ::testing::TestParamInfo<uint64_t>& info) {
                            return info.param == 0 ? std::string("OneChunk")
                                                   : std::string("EightBlockChunks");
                          });
+
+TEST(DatapathTest, RereadsKeepTokenStateFlat) {
+  // A reader whose cache holds 16 blocks re-reads a 64-block file 40 times,
+  // so every pass refetches evicted blocks. Each refetch matches the
+  // data-read tokens already held instead of asking for new ones, so the
+  // server's token count for the file stays where the first pass left it.
+  // Both data paths: one whole-file read per pass (synchronous), and block
+  // by block with background readahead.
+  for (size_t threads : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE(threads == 0 ? "whole-file reads" : "block reads with readahead");
+    auto rig = DfsRig::Create();
+    ASSERT_NE(rig, nullptr);
+    constexpr uint64_t kBlocks = 64;
+    SeedFile(*rig, "/reread", kBlocks, 'r');
+    CacheManager::Options opts;
+    opts.max_cached_blocks = 16;
+    opts.prefetch_threads = threads;
+    CacheManager* reader = rig->NewClient("alice", opts);
+    ASSERT_OK_AND_ASSIGN(VfsRef vfs, reader->MountVolume("home"));
+    ASSERT_OK_AND_ASSIGN(VnodeRef f, ResolvePath(*vfs, "/reread"));
+    size_t after_first = 0;
+    std::vector<uint8_t> buf(threads == 0 ? kBlocks * kBlockSize : kBlockSize);
+    for (int pass = 1; pass <= 40; ++pass) {
+      for (uint64_t off = 0; off < kBlocks * kBlockSize; off += buf.size()) {
+        ASSERT_OK_AND_ASSIGN(size_t n, f->Read(off, buf));
+        ASSERT_EQ(n, buf.size());
+        ASSERT_EQ(buf[0], 'r');
+      }
+      if (pass == 1) {
+        after_first = rig->server->tokens().TokensForFid(f->fid()).size();
+      }
+    }
+    size_t after_last = rig->server->tokens().TokensForFid(f->fid()).size();
+    EXPECT_GT(reader->stats().cache_evictions, 0u) << "the passes must refetch";
+    EXPECT_EQ(after_last, after_first);
+    if (threads == 0) {
+      EXPECT_LE(after_last, 4u);
+    }
+  }
+}
 
 TEST(DatapathTest, ServerRevocationRacesInflightPrefetch) {
   // A reader streams with background readahead while a writer repeatedly

@@ -182,6 +182,27 @@ TEST(TokenManagerTest, DisjointRangesNoRevocation) {
   EXPECT_EQ(mgr.TokensForFid(kFileA).size(), 2u);
 }
 
+TEST(TokenManagerTest, CoversByUnionOfOneHostsTokens) {
+  TokenManager mgr;
+  ScriptedHost h1("h1"), h2("h2");
+  mgr.RegisterHost(1, &h1);
+  mgr.RegisterHost(2, &h2);
+  ASSERT_OK(mgr.Grant(1, kFileA, kTokenDataWrite, ByteRange{0, 4096}).status());
+  ASSERT_OK(mgr.Grant(1, kFileA, kTokenDataRead | kTokenDataWrite, ByteRange{4096, 8192})
+                .status());
+  ASSERT_OK(mgr.Grant(2, kFileA, kTokenDataWrite, ByteRange{12288, 16384}).status());
+  // Two adjacent grants cover a range neither contains alone.
+  EXPECT_TRUE(mgr.Covers(1, kFileA, kTokenDataWrite, ByteRange{1000, 8192}));
+  // Each type is covered on its own: data-read stops at the second grant.
+  EXPECT_FALSE(mgr.Covers(1, kFileA, kTokenDataRead | kTokenDataWrite, ByteRange{0, 8192}));
+  EXPECT_TRUE(mgr.Covers(1, kFileA, kTokenDataRead, ByteRange{4096, 8192}));
+  // A gap, another host's grant, or another file does not count.
+  EXPECT_FALSE(mgr.Covers(1, kFileA, kTokenDataWrite, ByteRange{0, 12288}));
+  EXPECT_FALSE(mgr.Covers(1, kFileA, kTokenDataWrite, ByteRange{12288, 16384}));
+  EXPECT_TRUE(mgr.Covers(2, kFileA, kTokenDataWrite, ByteRange{12288, 16384}));
+  EXPECT_FALSE(mgr.Covers(1, kFileB, kTokenDataWrite, ByteRange{0, 4096}));
+}
+
 TEST(TokenManagerTest, TokensOnDifferentFilesIndependent) {
   TokenManager mgr;
   ScriptedHost h1("h1"), h2("h2");
