@@ -224,9 +224,13 @@ Result<std::vector<BufferSlice>> DfsVnode::ReadSlices(uint64_t offset, size_t le
   Result<std::vector<BufferSlice>> applied =
       Status(ErrorCode::kConflict, "read raced with revocations");
   for (int attempt = 0; attempt < 8 && !applied.ok(); ++attempt) {
+    // A retry asks for a fresh data-read grant rather than matching held
+    // tokens: the matched token of a lost attempt was revoked mid-flight, and
+    // only a fresh grant is serialized ahead of the revocations against it.
     Status fetch = cm_->FetchAndInstall(*cv, offset, fetch_len,
                                         kTokenDataRead | kTokenStatusRead,
-                                        [&] { applied = try_local_locked(); });
+                                        [&] { applied = try_local_locked(); },
+                                        /*token_only=*/false, /*match_data=*/attempt == 0);
     if (!fetch.ok()) {
       // A timed-out grant lost a revocation cycle (our own in-flight fetch
       // deferred the revocation the peer's grant was waiting on, or vice
@@ -363,9 +367,10 @@ Result<size_t> DfsVnode::Write(uint64_t offset, std::span<const uint8_t> data) {
       OrderedLockGuard low(cv->low);
       token_only = !needs_edge_fetch();
     }
+    // Likewise only a first attempt matches held data tokens (ReadSlices).
     Status fetch = cm_->FetchAndInstall(*cv, offset, std::max<size_t>(data.size(), 1),
                                         write_tokens, [&] { applied = apply_locked(); },
-                                        token_only);
+                                        token_only, /*match_data=*/attempt == 0);
     if (!fetch.ok()) {
       // Same retry rule as ReadSlices: a timed-out grant means we lost a
       // deferred-revocation cycle, and completing this fetch drained our queue.

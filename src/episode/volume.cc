@@ -15,8 +15,17 @@ struct VolCtx {
 };
 
 Result<VolCtx> LoadVolume(Aggregate& agg, uint64_t volume_id, bool for_write) {
-  ASSIGN_OR_RETURN(auto pair, agg.FindVolumeSlot(volume_id));
-  VolCtx ctx{std::move(pair.first), pair.second};
+  auto pair = agg.FindVolumeSlot(volume_id);
+  if (pair.code() == ErrorCode::kNotFound) {
+    // The volume left this aggregate under a mounted handle (moved away and
+    // deleted): the volume, not a file in it, is missing, so answer like a
+    // server that no longer exports it and let a remote client relocate
+    // through the VLDB. A kNotFound here would read as "no such file" and
+    // poison the client's negative lookup cache.
+    return Status(ErrorCode::kUnavailable, "volume no longer on this aggregate");
+  }
+  RETURN_IF_ERROR(pair.status());
+  VolCtx ctx{std::move(pair->first), pair->second};
   if (ctx.vol.flags & kVolFlagBusy) {
     return Status(ErrorCode::kBusy, "volume busy (move/clone in progress)");
   }
