@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <deque>
+#include <numeric>
 #include <thread>
 
 #include "src/vfs/path.h"
@@ -258,99 +260,108 @@ uint64_t CacheManager::EpochFor(NodeId server) {
   return it == server_epochs_.end() ? 0 : it->second;
 }
 
+Result<NodeId> CacheManager::RouteVolume(uint64_t volume_id, bool refresh,
+                                         bool allow_recovery) {
+  ASSIGN_OR_RETURN(NodeId server, ServerForVolume(volume_id, refresh));
+  RETURN_IF_ERROR(EnsureConnected(server));
+  // The VLDB entry carries the serving server's epoch. If it is ahead of the
+  // one we learned at connect time, the server restarted since — reassert
+  // proactively instead of eating a kStaleEpoch bounce.
+  if (allow_recovery) {
+    auto loc = vldb_.Peek(volume_id);
+    uint64_t known = EpochFor(server);
+    if (loc.has_value() && loc->epoch != 0 && known != 0 && loc->epoch > known) {
+      (void)HandleStaleEpoch(server, nullptr);
+    }
+  }
+  return server;
+}
+
+bool CacheManager::CallVolumeRetries(ErrorCode code) {
+  return code == ErrorCode::kBusy || code == ErrorCode::kUnavailable ||
+         code == ErrorCode::kAuthFailed || code == ErrorCode::kStaleEpoch ||
+         code == ErrorCode::kRecovering;
+}
+
 Result<WireMessage> CacheManager::CallVolume(uint64_t volume_id, uint32_t proc,
                                              const Writer& w, const Fid* fid,
-                                             bool allow_recovery) {
+                                             bool allow_recovery, FirstAnswer* first) {
   Status last = Status::Ok();
   uint32_t backoff_ms = 1;  // doubles per kRecovering answer, capped at 16
   for (int attempt = 0; attempt < 100; ++attempt) {
-    bool refresh = attempt > 0;
-    auto server = ServerForVolume(volume_id, refresh);
+    bool answered = attempt == 0 && first != nullptr;
+    Result<NodeId> server =
+        answered ? first->server : RouteVolume(volume_id, attempt > 0, allow_recovery);
     if (!server.ok()) {
       last = server.status();
     } else {
-      Status conn = EnsureConnected(*server);
-      if (!conn.ok()) {
-        last = conn;
-      } else {
-        // The VLDB entry carries the serving server's epoch. If it is ahead
-        // of the one we learned at connect time, the server restarted since
-        // — reassert proactively instead of eating a kStaleEpoch bounce.
-        if (allow_recovery) {
-          auto loc = vldb_.Peek(volume_id);
-          uint64_t known = EpochFor(*server);
-          if (loc.has_value() && loc->epoch != 0 && known != 0 && loc->epoch > known) {
-            (void)HandleStaleEpoch(*server, nullptr);
-          }
+      // Ship the full message (head + any scatter-gather segments); the
+      // Writer outlives the retry loop, so each attempt re-sends a cheap
+      // copy that shares the segment regions.
+      auto payload = answered ? std::move(first->reply)
+                              : UnwrapReply(network_.Call(options_.node, *server, proc,
+                                                          w.Message(), ticket_.principal,
+                                                          EpochFor(*server)));
+      if (payload.ok()) {
+        if (network_.clock() != nullptr) {
+          last_contact_ns_.store(network_.clock()->Now(), std::memory_order_relaxed);
         }
-        // Ship the full message (head + any scatter-gather segments); the
-        // Writer outlives the retry loop, so each attempt re-sends a cheap
-        // copy that shares the segment regions.
-        auto payload = UnwrapReply(network_.Call(options_.node, *server, proc, w.Message(),
-                                                 ticket_.principal, EpochFor(*server)));
-        if (payload.ok()) {
-          if (network_.clock() != nullptr) {
-            last_contact_ns_.store(network_.clock()->Now(), std::memory_order_relaxed);
-          }
-          return payload;
+        return payload;
+      }
+      last = payload.status();
+      ErrorCode code = last.code();
+      if (code == ErrorCode::kAuthFailed) {
+        // A restarted server forgot our kConnect registration; reconnect
+        // and retry (the host module is rebuilt on the fly).
+        MutexLock lock(mu_);
+        connected_.erase(*server);
+      }
+      if (code == ErrorCode::kStaleEpoch) {
+        // The server restarted under us. Reconnect, learn the new epoch,
+        // and reassert every token we hold from it before retrying the
+        // call — otherwise the retry runs tokenless against a server that
+        // may grant conflicts to other clients first.
+        {
+          MutexLock lock(mu_);
+          stats_.stale_epoch_retries += 1;
         }
-        last = payload.status();
-        ErrorCode code = last.code();
-        if (code == ErrorCode::kAuthFailed) {
-          // A restarted server forgot our kConnect registration; reconnect
-          // and retry (the host module is rebuilt on the fly).
+        if (!allow_recovery) {
+          // Holder of a cvnode low lock: reasserting here would relock it.
+          // Drop the stale connection and let a foreground path recover.
           MutexLock lock(mu_);
           connected_.erase(*server);
-        }
-        if (code == ErrorCode::kStaleEpoch) {
-          // The server restarted under us. Reconnect, learn the new epoch,
-          // and reassert every token we hold from it before retrying the
-          // call — otherwise the retry runs tokenless against a server that
-          // may grant conflicts to other clients first.
-          {
-            MutexLock lock(mu_);
-            stats_.stale_epoch_retries += 1;
-          }
-          if (!allow_recovery) {
-            // Holder of a cvnode low lock: reasserting here would relock it.
-            // Drop the stale connection and let a foreground path recover.
-            MutexLock lock(mu_);
-            connected_.erase(*server);
-            return last;
-          }
-          std::unordered_set<Fid, FidHash> invalidated;
-          Status reassert = HandleStaleEpoch(*server, &invalidated);
-          if (!reassert.ok()) {
-            last = reassert;
-          } else if (fid != nullptr && invalidated.count(*fid) != 0) {
-            // The very file this call is about lost its tokens in the
-            // restart; its dirty data was discarded. Retrying (a store,
-            // say) would push data we no longer have the right to write.
-            return Status(ErrorCode::kIoError,
-                          "write token lost in server restart; dirty data discarded");
-          }
-          continue;  // retry immediately with the new epoch
-        }
-        if (code == ErrorCode::kRecovering) {
-          // Post-restart grace period: the server is waiting for survivors
-          // to reassert. Back off (capped exponential) and retry; our own
-          // reassertion has already been sent by the kStaleEpoch path.
-          {
-            MutexLock lock(mu_);
-            stats_.recovering_retries += 1;
-          }
-          if (!allow_recovery) {
-            return last;
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-          backoff_ms = std::min<uint32_t>(backoff_ms * 2, 16);
-          continue;
-        }
-        bool relocatable = code == ErrorCode::kBusy || code == ErrorCode::kUnavailable ||
-                           code == ErrorCode::kAuthFailed;
-        if (!relocatable) {
           return last;
         }
+        std::unordered_set<Fid, FidHash> invalidated;
+        Status reassert = HandleStaleEpoch(*server, &invalidated);
+        if (!reassert.ok()) {
+          last = reassert;
+        } else if (fid != nullptr && invalidated.count(*fid) != 0) {
+          // The very file this call is about lost its tokens in the
+          // restart; its dirty data was discarded. Retrying (a store,
+          // say) would push data we no longer have the right to write.
+          return Status(ErrorCode::kIoError,
+                        "write token lost in server restart; dirty data discarded");
+        }
+        continue;  // retry immediately with the new epoch
+      }
+      if (code == ErrorCode::kRecovering) {
+        // Post-restart grace period: the server is waiting for survivors
+        // to reassert. Back off (capped exponential) and retry; our own
+        // reassertion has already been sent by the kStaleEpoch path.
+        {
+          MutexLock lock(mu_);
+          stats_.recovering_retries += 1;
+        }
+        if (!allow_recovery) {
+          return last;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+        backoff_ms = std::min<uint32_t>(backoff_ms * 2, 16);
+        continue;
+      }
+      if (!CallVolumeRetries(code)) {
+        return last;
       }
     }
     {
@@ -1190,35 +1201,49 @@ Status CacheManager::InstallFetchReplyLocked(CVnode& cv, uint64_t aligned_off,
   return Status::Ok();
 }
 
-void CacheManager::RunDataTasks(std::vector<std::function<void()>>& tasks) {
-  if (tasks.size() <= 1 || prefetcher_ == nullptr || !prefetcher_->enabled()) {
-    for (auto& t : tasks) {
-      t();
+void CacheManager::CallChunks(
+    uint64_t volume_id, uint32_t proc, size_t count, const std::function<Writer(size_t)>& request,
+    const Fid* fid, const std::function<void(size_t, Result<WireMessage>)>& on_reply) {
+  Result<NodeId> server = RouteVolume(volume_id, /*refresh=*/false, /*allow_recovery=*/true);
+  if (!server.ok()) {
+    // CallVolume retries a routing failure: each request goes through it.
+    for (size_t i = 0; i < count; ++i) {
+      Writer w = request(i);
+      Result<WireMessage> reply = [&] {
+        InflightTracker inflight(this);
+        return CallVolume(volume_id, proc, w, fid);
+      }();
+      on_reply(i, std::move(reply));
     }
     return;
   }
-  // Batch-completion latch (the IssueRevokes idiom): tasks are independent
-  // sub-range RPCs that never wait on each other or resubmit to the pool.
-  // LOCK-EXEMPT(leaf): batch-local latch; never held across any other lock.
-  Mutex done_mu;
-  CondVar done_cv;
-  size_t pending = tasks.size();
-  for (auto& t : tasks) {
-    bool submitted = prefetcher_->Submit([&t, &done_mu, &done_cv, &pending] {
-      t();
-      MutexLock lock(done_mu);
-      --pending;
-      done_cv.NotifyOne();
-    });
-    if (!submitted) {  // pool shutting down: fall back inline
-      t();
-      MutexLock lock(done_mu);
-      --pending;
+  // A request on the wire, with its body kept for a CallVolume retry.
+  struct Sent {
+    Sent(CacheManager* cm, Writer body) : inflight(cm), w(std::move(body)) {}
+    InflightTracker inflight;
+    Writer w;
+    Network::PendingCall call;
+  };
+  std::deque<Sent> window;
+  size_t issued = 0;
+  for (size_t i = 0; i < count; ++i) {
+    while (issued < count && issued < i + kMaxInflightChunks) {
+      Sent& sent = window.emplace_back(this, request(issued++));
+      sent.call = network_.CallAsync(options_.node, *server, proc, sent.w.Message(),
+                                     ticket_.principal, EpochFor(*server));
     }
-  }
-  UniqueMutexLock lock(done_mu);
-  while (pending > 0) {
-    done_cv.Wait(lock);
+    Sent& sent = window.front();
+    Result<WireMessage> reply = UnwrapReply(sent.call.Wait());
+    if (reply.ok()) {
+      if (network_.clock() != nullptr) {
+        last_contact_ns_.store(network_.clock()->Now(), std::memory_order_relaxed);
+      }
+    } else if (CallVolumeRetries(reply.code())) {
+      FirstAnswer first{*server, std::move(reply)};
+      reply = CallVolume(volume_id, proc, sent.w, fid, /*allow_recovery=*/true, &first);
+    }
+    window.pop_front();
+    on_reply(i, std::move(reply));
   }
 }
 
@@ -1247,11 +1272,6 @@ Status CacheManager::FetchAndInstall(CVnode& cv, uint64_t offset, size_t len,
     want_types = MissingTypesLocked(cv, matchable, trange, &held) | (want_types & ~matchable);
   }
 
-  auto fetch = [&](size_t i, uint32_t want) -> Result<WireMessage> {
-    Writer w = FetchRequest(cv.fid, chunks[i].off, chunks[i].len, want, trange, token_only);
-    InflightTracker inflight(this);
-    return CallVolume(cv.fid.volume, kFetchData, w);
-  };
   std::vector<Status> statuses(chunks.size(), Status::Ok());
   std::vector<std::vector<uint64_t>> installed(chunks.size());
   auto install = [&](size_t i, const Result<WireMessage>& payload) -> Status {
@@ -1269,10 +1289,14 @@ Status CacheManager::FetchAndInstall(CVnode& cv, uint64_t offset, size_t len,
   // grant would let another client's write land between a chunk's
   // server-side read and the grant, leaving this client serving stale bytes
   // under a valid token with no revocation ever aimed at it. The data chunks
-  // then run concurrently on the data pool, each merged under `low` as its
+  // are then pipelined from this thread, each merged under `low` as its
   // reply lands, and each installs only while the transfer's tokens (matched
   // and granted) are still held.
-  Result<WireMessage> first = fetch(0, want_types);
+  Result<WireMessage> first = [&] {
+    Writer w = FetchRequest(cv.fid, chunks[0].off, chunks[0].len, want_types, trange, token_only);
+    InflightTracker inflight(this);
+    return CallVolume(cv.fid.volume, kFetchData, w);
+  }();
   if (first.ok() && token_only) {
     MutexLock lock(mu_);
     stats_.token_only_grants += 1;
@@ -1284,16 +1308,17 @@ Status CacheManager::FetchAndInstall(CVnode& cv, uint64_t offset, size_t len,
       statuses[0] = install(0, first);
     }
     if (statuses[0].ok()) {
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(chunks.size() - 1);
-      for (size_t i = 1; i < chunks.size(); ++i) {
-        tasks.push_back([&, i] {
-          Result<WireMessage> payload = fetch(i, 0);
-          OrderedLockGuard low(cv.low);
-          statuses[i] = install(i, payload);
-        });
-      }
-      RunDataTasks(tasks);
+      CallChunks(
+          cv.fid.volume, kFetchData, chunks.size() - 1,
+          [&](size_t k) {
+            const Chunk& c = chunks[k + 1];
+            return FetchRequest(cv.fid, c.off, c.len, 0, trange, /*token_only=*/false);
+          },
+          nullptr,
+          [&](size_t k, Result<WireMessage> payload) {
+            OrderedLockGuard low(cv.low);
+            statuses[k + 1] = install(k + 1, payload);
+          });
     }
   }
 
@@ -1689,54 +1714,52 @@ Status CacheManager::FsyncHighLocked(CVnode& cv) {
       parts = RunSlicesLocked(cv, first, run_len);
     }
     // The run drains as block-aligned chunks (one when it fits max_rpc_bytes)
-    // issued concurrently. Each chunk is all-or-retry — a successful chunk's
-    // blocks come off the dirty set immediately (the server has them), and the
-    // sync infos merge correctly in any completion order under the stamp rule.
+    // pipelined from this thread. Each chunk is all-or-retry — a successful
+    // chunk's blocks come off the dirty set as its reply lands (the server
+    // has them), and the sync infos merge under the stamp rule.
     std::vector<Chunk> chunks = ChunksOf(offset, run_len, options_.max_rpc_bytes);
     if (chunks.size() > 1) {
       MutexLock lock(mu_);
       stats_.bulk_rpcs_split += 1;
     }
     std::vector<Status> statuses(chunks.size(), Status::Ok());
-    auto run_chunk = [&](size_t i) {
-      const Chunk& c = chunks[i];
-      uint64_t first = BlockOf(c.off);
-      uint64_t end = BlockEnd(c.off, c.len);
-      Writer w = StoreBody(cv.fid, c.off,
-                           std::span<const BufferSlice>(parts).subspan(first - BlockOf(offset),
-                                                                       end - first));
-      auto payload = [&] {
-        InflightTracker inflight(this);
-        return CallVolume(cv.fid.volume, kStoreData, w, &cv.fid);
-      }();
-      if (!payload.ok()) {
-        statuses[i] = payload.status();
-        return;
-      }
-      Reader r(*payload);
-      auto sync = ReadSyncInfo(r);
-      if (!sync.ok()) {
-        statuses[i] = sync.status();
-        return;
-      }
-      OrderedLockGuard low(cv.low);
-      for (uint64_t b = first; b < end; ++b) {
-        cv.dirty_blocks.erase(b);
-      }
-      if (cv.dirty_blocks.empty()) {
-        cv.attr_dirty = false;  // the server has everything; its attr rules again
-      }
-      PersistMarkCleanLocked(cv, first, end - 1, *sync);
-      MergeSyncLocked(cv, *sync);
-      JournalAttrLocked(cv);
-      statuses[i] = Status::Ok();
+    // Stores the chunks listed in `idx`, recording each one's outcome.
+    auto store_chunks = [&](const std::vector<size_t>& idx) {
+      CallChunks(
+          cv.fid.volume, kStoreData, idx.size(),
+          [&](size_t k) {
+            const Chunk& c = chunks[idx[k]];
+            uint64_t first = BlockOf(c.off);
+            return StoreBody(cv.fid, c.off,
+                             std::span<const BufferSlice>(parts).subspan(
+                                 first - BlockOf(offset), BlockEnd(c.off, c.len) - first));
+          },
+          &cv.fid,
+          [&](size_t k, Result<WireMessage> payload) {
+            size_t i = idx[k];
+            statuses[i] = [&]() -> Status {
+              RETURN_IF_ERROR(payload.status());
+              Reader r(*payload);
+              ASSIGN_OR_RETURN(SyncInfo sync, ReadSyncInfo(r));
+              uint64_t first = BlockOf(chunks[i].off);
+              uint64_t end = BlockEnd(chunks[i].off, chunks[i].len);
+              OrderedLockGuard low(cv.low);
+              for (uint64_t b = first; b < end; ++b) {
+                cv.dirty_blocks.erase(b);
+              }
+              if (cv.dirty_blocks.empty()) {
+                cv.attr_dirty = false;  // the server has everything; its attr rules again
+              }
+              PersistMarkCleanLocked(cv, first, end - 1, sync);
+              MergeSyncLocked(cv, sync);
+              JournalAttrLocked(cv);
+              return Status::Ok();
+            }();
+          });
     };
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(chunks.size());
-    for (size_t i = 0; i < chunks.size(); ++i) {
-      tasks.push_back([&run_chunk, i] { run_chunk(i); });
-    }
-    RunDataTasks(tasks);
+    std::vector<size_t> all(chunks.size());
+    std::iota(all.begin(), all.end(), size_t{0});
+    store_chunks(all);
     for (int attempt = 0; attempt < 8; ++attempt) {
       // kConflict: our write token is gone — the server restarted, or a peer's
       // grant revoked it while the chunk was on the wire. In the latter case
@@ -1784,12 +1807,7 @@ Status CacheManager::FsyncHighLocked(CVnode& cv) {
         }
         break;
       }
-      std::vector<std::function<void()>> retries;
-      retries.reserve(retry_idx.size());
-      for (size_t i : retry_idx) {
-        retries.push_back([&run_chunk, i] { run_chunk(i); });
-      }
-      RunDataTasks(retries);
+      store_chunks(retry_idx);
     }
     Status store_result = Status::Ok();
     for (const Status& s : statuses) {  // first error in chunk order wins

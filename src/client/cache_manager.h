@@ -2,9 +2,10 @@
 // directory layer, and vnode layer.
 //
 //  - Resource layer: RPC connections (with authentication tickets) and a
-//    volume-location cache fed by the VLDB; kBusy/kUnavailable/kNotFound
+//    volume-location cache fed by the VLDB; kBusy/kUnavailable/kAuthFailed
 //    answers invalidate the cached location and retry, which is how clients
-//    follow a volume as it moves between servers.
+//    follow a volume as it moves between servers (a server answers
+//    kUnavailable for a volume it no longer holds).
 //  - Cache layer: file status and data cached under typed tokens. Data lives
 //    in a CacheStore (disk-backed, or memory for diskless clients). A write
 //    data token lets writes stay local; a status read token makes GetAttr
@@ -106,17 +107,19 @@ class CacheManager : public RpcHandler {
     // synchronous data path above; > 0 moves readahead off the critical
     // path: Read fetches only the asked-for range and hands a window
     // descriptor to the prefetch pool, which fetches ahead with a doubling
-    // window while the reader consumes what is already cached.
+    // window while the reader consumes what is already cached. The pool runs
+    // readahead windows only; split transfers pipeline from the caller's
+    // thread whatever its width.
     size_t prefetch_threads = 0;
     // Doubling-window bounds (blocks) for background readahead: the window
     // starts at min on the first confirmed sequential read and doubles per
     // confirmed window up to max.
     uint32_t readahead_min_blocks = 4;
     uint32_t readahead_max_blocks = 64;
-    // Parallel bulk transfer: a fetch or store larger than this is cut into
-    // block-aligned chunks issued concurrently on the prefetch pool and
-    // merged under the cvnode low lock. 0 (the default) = unlimited: every
-    // transfer is one chunk.
+    // Pipelined bulk transfer: a fetch or store larger than this is cut into
+    // block-aligned chunks that the calling thread keeps on the wire
+    // kMaxInflightChunks at a time, merged under the cvnode low lock as they
+    // land. 0 (the default) = unlimited: every transfer is one chunk.
     uint64_t max_rpc_bytes = 0;
     // Keep-alive daemon: ping every connected server at this interval so the
     // server-side lease stays fresh (and restarts are detected) even when the
@@ -169,7 +172,7 @@ class CacheManager : public RpcHandler {
     uint64_t prefetch_hits = 0;       // foreground reads served from prefetched blocks
     uint64_t prefetch_wasted = 0;     // prefetched blocks evicted/invalidated unread
     uint64_t prefetch_cancelled = 0;  // windows whose install lost a generation race
-    uint64_t bulk_rpcs_split = 0;     // transfers split into parallel sub-range RPCs
+    uint64_t bulk_rpcs_split = 0;     // transfers split into pipelined sub-range RPCs
     uint64_t inflight_highwater = 0;  // max concurrent data RPCs observed
     // Warm-reboot recovery (persistent cache, E17).
     uint64_t warm_tokens_recovered = 0;  // journaled tokens the server re-accepted
@@ -315,6 +318,19 @@ class CacheManager : public RpcHandler {
   // --- resource layer ---
   Result<NodeId> ServerForVolume(uint64_t volume_id, bool refresh);
   Status EnsureConnected(NodeId server);
+  // One attempt's routing step, shared by CallVolume and CallChunks: the
+  // server holding the volume (from the VLDB cache, or looked up afresh when
+  // `refresh`), connected. With `allow_recovery`, a VLDB epoch ahead of the
+  // one learned at connect time means the server restarted since: the
+  // client reasserts its tokens before the call instead of eating a
+  // kStaleEpoch bounce.
+  Result<NodeId> RouteVolume(uint64_t volume_id, bool refresh, bool allow_recovery);
+  // A call's first answer when it was sent outside CallVolume (CallChunks):
+  // CallVolume takes it as its first attempt instead of sending again.
+  struct FirstAnswer {
+    NodeId server = 0;
+    Result<WireMessage> reply;
+  };
   // Calls the server owning fid.volume with retry-on-move semantics, plus the
   // recovery protocol: kRecovering retries with capped exponential backoff,
   // kStaleEpoch reconnects and reasserts held tokens before retrying. `fid`,
@@ -324,8 +340,27 @@ class CacheManager : public RpcHandler {
   // `allow_recovery=false` disables the reassert/backoff machinery for
   // callers that hold a cvnode low lock across the call (the revocation-path
   // store and token returns), where reasserting would self-deadlock.
+  // `first`, when given, is the answer to an attempt already made.
   Result<WireMessage> CallVolume(uint64_t volume_id, uint32_t proc, const Writer& w,
-                                 const Fid* fid = nullptr, bool allow_recovery = true);
+                                 const Fid* fid = nullptr, bool allow_recovery = true,
+                                 FirstAnswer* first = nullptr);
+  // True for the answers CallVolume retries (with recovery allowed).
+  static bool CallVolumeRetries(ErrorCode code);
+  // Bulk RPCs one split transfer keeps on the wire at once. A constant, not
+  // an option: each call in flight holds a server worker for its simulated
+  // wire time, so an unbounded fan-out could fill the server's pool.
+  static constexpr size_t kMaxInflightChunks = 8;
+  // Sends `count` requests (`request(i)` builds the i-th) to the server of
+  // `volume_id`, pipelined from the calling thread: the server is routed
+  // once, each request goes out with Network::CallAsync, and at most
+  // kMaxInflightChunks are in flight. Replies are waited in order and handed
+  // to `on_reply(i, reply)` as each lands, and each wait issues the next
+  // request. A request whose first answer is one CallVolume retries goes
+  // through CallVolume; any other answer is handed on as is, so nothing is
+  // sent twice.
+  void CallChunks(uint64_t volume_id, uint32_t proc, size_t count,
+                  const std::function<Writer(size_t)>& request, const Fid* fid,
+                  const std::function<void(size_t, Result<WireMessage>)>& on_reply);
   // The epoch this client last learned for `server` (0 = never connected).
   uint64_t EpochFor(NodeId server);
   // kStaleEpoch response: reconnect to `server`, learn its new epoch, and
@@ -377,8 +412,9 @@ class CacheManager : public RpcHandler {
   // charged to bytes_moved/bytes_copied.
   std::vector<BufferSlice> RunSlicesLocked(CVnode& cv, uint64_t first, uint64_t run_len)
       REQUIRES(cv.low);
-  // Pushes every contiguous dirty run to the server, one run at a time.
-  // Takes (and drops) cv.low around each run itself.
+  // Pushes every contiguous dirty run to the server, one run at a time, each
+  // run's chunks pipelined (CallChunks). Takes (and drops) cv.low around
+  // each run itself.
   Status FsyncHighLocked(CVnode& cv) REQUIRES(cv.high) EXCLUDES(cv.low);
 
   // Handles one revocation (the body shared by kRevokeToken and
@@ -406,10 +442,10 @@ class CacheManager : public RpcHandler {
   // on are still held. The range goes out as block-aligned chunks of
   // Options::max_rpc_bytes (one chunk when that is 0 or the range fits)
   // merged under `low`. The token-carrying first chunk is a barrier — it
-  // completes before the tokenless data chunks go out concurrently, so every
-  // data chunk reads under a token conflicting writers must revoke (first
-  // error by chunk order wins; a failed op uninstalls the blocks it freshly
-  // installed).
+  // completes before the tokenless data chunks are pipelined (CallChunks), so
+  // every data chunk reads under a token conflicting writers must revoke
+  // (first error by chunk order wins; a failed op uninstalls the blocks it
+  // freshly installed).
   // `token_only` asks the server for the grant + sync info without the data
   // bytes (kFetchFlagTokenOnly): used by whole-range overwrites, which would
   // clobber every byte they fetched. A token-only fetch is one chunk.
@@ -436,10 +472,6 @@ class CacheManager : public RpcHandler {
                                  const WireMessage& reply, bool install_data,
                                  bool mark_prefetched, std::vector<HeldToken>& held,
                                  std::vector<uint64_t>* installed) REQUIRES(cv.low);
-  // Runs the tasks to completion — concurrently on the prefetch pool when one
-  // exists, inline otherwise. Tasks must be independent (no task may wait on
-  // another or submit to the pool).
-  void RunDataTasks(std::vector<std::function<void()>>& tasks);
   // Called from DfsVnode::Read after a successful read (no cvnode locks
   // held): feeds the sequential-stream detector and, on a confirmed stream,
   // claims the next window and hands it to the prefetch pool.

@@ -1,7 +1,8 @@
 // Background readahead for the client cache manager (the asynchronous data
 // path): per-file sequential-stream detection and the doubling-window state
 // machine, plus the prefetch thread pool the cache manager runs window
-// fetches (and bulk-transfer sub-ranges) on.
+// fetches on. Split transfers do not use the pool: their caller's thread
+// pipelines them (CacheManager::CallChunks).
 //
 // The prefetcher itself never issues RPCs and never touches cvnode state —
 // it only decides *which* window to fetch next. The cache manager owns the

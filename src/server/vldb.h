@@ -1,7 +1,8 @@
 // Volume location database (Section 3.4): a global, replicated database
 // mapping volumes to the servers that hold them. File servers register their
 // volumes; client cache managers look volumes up (and cache the results in
-// their resource layer, invalidating on kBusy/kUnavailable/kNotFound).
+// their resource layer, invalidating on kBusy/kUnavailable/kAuthFailed; a
+// server answers kUnavailable for a volume it does not hold).
 #ifndef SRC_SERVER_VLDB_H_
 #define SRC_SERVER_VLDB_H_
 

@@ -3,6 +3,7 @@
 // Labeled CONCURRENCY: the race tests run under TSAN in the sanitizer job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -237,6 +238,256 @@ TEST(DatapathTest, BulkStoreSplitsLargeWritesAndReadsBack) {
   ASSERT_OK_AND_ASSIGN(VfsRef rv, reader->MountVolume("home"));
   ASSERT_OK_AND_ASSIGN(std::string back, ReadFileAt(*rv, "/bigw"));
   EXPECT_EQ(back, data);
+}
+
+// A client with no prefetch pool whose transfers split into 4-block chunks:
+// every chunk of a split transfer is pipelined from the caller's thread.
+CacheManager::Options PoollessFourBlockChunks() {
+  CacheManager::Options opts;
+  opts.prefetch_threads = 0;
+  opts.max_rpc_bytes = 4 * kBlockSize;
+  return opts;
+}
+
+// A file of `blocks` blocks whose every block carries its own fill byte.
+std::string PatternedBlocks(uint64_t blocks) {
+  std::string data(blocks * kBlockSize, 0);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>('a' + (i / kBlockSize) % 26);
+  }
+  return data;
+}
+
+TEST(DatapathTest, SplitStorePipelinesWithoutAPool) {
+  // The server holds store chunk 0 until chunk 3 arrives, which it can only
+  // do if the caller's thread put chunks 1-3 on the wire without waiting
+  // for chunk 0's reply: no pool runs them.
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  CacheManager* writer = rig->NewClient("alice", PoollessFourBlockChunks());
+  ASSERT_OK_AND_ASSIGN(VfsRef vfs, writer->MountVolume("home"));
+  ASSERT_OK(CreateFileAt(*vfs, "/piped", 0666, TestCred()).status());
+  std::string data = PatternedBlocks(16);
+  ASSERT_OK(WriteFileAt(*vfs, "/piped", data, TestCred()));
+
+  Latch chunk3_arrived;
+  std::atomic<bool> chunk3_late{false};
+  {
+    ServerGate gate(*rig, [&](const RpcRequest& req) -> std::optional<Status> {
+      if (req.proc == kStoreData && req.from == writer->node()) {
+        uint64_t offset = RequestOffset(req);
+        if (offset == 12 * kBlockSize) {
+          chunk3_arrived.Open();
+        } else if (offset == 0 && !chunk3_arrived.Wait()) {
+          chunk3_late = true;
+        }
+      }
+      return std::nullopt;
+    });
+    ASSERT_OK(writer->SyncAll());
+  }
+  EXPECT_FALSE(chunk3_late) << "store chunk 3 never reached the server while chunk 0 was held";
+  EXPECT_GE(writer->stats().inflight_highwater, 4u);
+
+  CacheManager* reader = rig->NewClient("bob");
+  ASSERT_OK_AND_ASSIGN(VfsRef rv, reader->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(std::string back, ReadFileAt(*rv, "/piped"));
+  EXPECT_EQ(back, data);
+}
+
+// Counts the requests a gate sees in flight at the server at once. Each of
+// the first `kDepth` requests is held until all of them are there, then a
+// little longer, so a ninth request in flight would show up in the count.
+class InflightProbe {
+ public:
+  static constexpr int kDepth = 8;
+
+  // Called from the gate's hook for each counted request; `index` is its
+  // place in the transfer's chunk order.
+  void Arrive(uint64_t index) {
+    std::unique_lock<std::mutex> lock(mu_);
+    now_ += 1;
+    max_ = std::max(max_, now_);
+    cv_.notify_all();
+    if (index < kDepth) {
+      if (!cv_.wait_for(lock, std::chrono::seconds(5), [this] { return max_ >= kDepth; })) {
+        stuck_ = true;
+      }
+      lock.unlock();
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  }
+  // Called from the gate's after-hook once the server answered.
+  void Leave() {
+    std::lock_guard<std::mutex> lock(mu_);
+    now_ -= 1;
+  }
+  int max() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return max_;
+  }
+  bool stuck() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return stuck_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int now_ = 0;
+  int max_ = 0;
+  bool stuck_ = false;
+};
+
+TEST(DatapathTest, SplitTransfersKeepAtMostEightChunksInFlight) {
+  // A 64-chunk fsync and a 64-chunk read, neither with a pool: the server
+  // (16 workers, room for more) sees 8 of the store's chunks at once and
+  // never a ninth, and the same for the read's data chunks once its
+  // token-carrying first chunk has landed.
+  DfsRig::Options ropts;
+  ropts.server.rpc.worker_threads = 16;
+  auto rig = DfsRig::Create(ropts);
+  ASSERT_NE(rig, nullptr);
+  constexpr uint64_t kChunkBytes = 4 * kBlockSize;
+  constexpr uint64_t kBlocks = 256;
+  CacheManager* writer = rig->NewClient("alice", PoollessFourBlockChunks());
+  ASSERT_OK_AND_ASSIGN(VfsRef wv, writer->MountVolume("home"));
+  ASSERT_OK(CreateFileAt(*wv, "/deep", 0666, TestCred()).status());
+  std::string data = PatternedBlocks(kBlocks);
+  ASSERT_OK(WriteFileAt(*wv, "/deep", data, TestCred()));
+  {
+    InflightProbe stores;
+    ServerGate gate(
+        *rig,
+        [&](const RpcRequest& req) -> std::optional<Status> {
+          if (req.proc == kStoreData && req.from == writer->node()) {
+            stores.Arrive(RequestOffset(req) / kChunkBytes);
+          }
+          return std::nullopt;
+        },
+        [&](const RpcRequest& req) {
+          if (req.proc == kStoreData && req.from == writer->node()) {
+            stores.Leave();
+          }
+        });
+    ASSERT_OK(writer->SyncAll());
+    EXPECT_FALSE(stores.stuck()) << "8 store chunks never reached the server together";
+    EXPECT_EQ(stores.max(), InflightProbe::kDepth);
+  }
+  ASSERT_OK(writer->ReturnAllTokens());
+
+  CacheManager* reader = rig->NewClient("bob", PoollessFourBlockChunks());
+  ASSERT_OK_AND_ASSIGN(VfsRef rv, reader->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(VnodeRef rf, ResolvePath(*rv, "/deep"));
+  std::vector<uint8_t> back(kBlocks * kBlockSize);
+  {
+    InflightProbe fetches;
+    // Data chunk k (k >= 1) of the read starts at k chunks in.
+    auto data_chunk = [&](const RpcRequest& req) {
+      return req.proc == kFetchData && req.from == reader->node() &&
+             RequestOffset(req) >= kChunkBytes;
+    };
+    ServerGate gate(
+        *rig,
+        [&](const RpcRequest& req) -> std::optional<Status> {
+          if (data_chunk(req)) {
+            fetches.Arrive(RequestOffset(req) / kChunkBytes - 1);
+          }
+          return std::nullopt;
+        },
+        [&](const RpcRequest& req) {
+          if (data_chunk(req)) {
+            fetches.Leave();
+          }
+        });
+    ASSERT_OK_AND_ASSIGN(size_t n, rf->Read(0, back));
+    ASSERT_EQ(n, back.size());
+    EXPECT_FALSE(fetches.stuck()) << "8 fetch chunks never reached the server together";
+    EXPECT_EQ(fetches.max(), InflightProbe::kDepth);
+  }
+  EXPECT_EQ(std::string(back.begin(), back.end()), data);
+}
+
+TEST(DatapathTest, SplitStoreRetriesThroughCallVolume) {
+  // The server answers store chunk 2's first attempt kUnavailable. The
+  // chunk is retried the way every volume call is (the location is looked
+  // up afresh, counted in location_retries) and is sent exactly once more;
+  // the other chunks are not sent again.
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  CacheManager* writer = rig->NewClient("alice", PoollessFourBlockChunks());
+  ASSERT_OK_AND_ASSIGN(VfsRef vfs, writer->MountVolume("home"));
+  ASSERT_OK(CreateFileAt(*vfs, "/bounce", 0666, TestCred()).status());
+  std::string data = PatternedBlocks(16);
+  ASSERT_OK(WriteFileAt(*vfs, "/bounce", data, TestCred()));
+
+  uint64_t retries_before = writer->stats().location_retries;
+  std::atomic<int> stores{0};
+  std::atomic<bool> bounced{false};
+  {
+    ServerGate gate(*rig, [&](const RpcRequest& req) -> std::optional<Status> {
+      if (req.proc == kStoreData && req.from == writer->node()) {
+        stores += 1;
+        if (RequestOffset(req) == 8 * kBlockSize && !bounced.exchange(true)) {
+          return Status(ErrorCode::kUnavailable, "injected: volume not here");
+        }
+      }
+      return std::nullopt;
+    });
+    ASSERT_OK(writer->SyncAll());
+  }
+  EXPECT_TRUE(bounced);
+  EXPECT_EQ(stores.load(), 4 + 1) << "4 chunks plus one retry of chunk 2";
+  EXPECT_EQ(writer->stats().location_retries, retries_before + 1);
+
+  CacheManager* reader = rig->NewClient("bob");
+  ASSERT_OK_AND_ASSIGN(VfsRef rv, reader->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(std::string back, ReadFileAt(*rv, "/bounce"));
+  EXPECT_EQ(back, data);
+}
+
+TEST(DatapathTest, MultiPartStoreCommitsOneTransactionPer32Blocks) {
+  // The server writes a many-part kStoreData with one vnode write, so
+  // Episode commits it as a chain of short transactions of up to 32 blocks
+  // (Section 2.2): one for 16 parts, two for 40.
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  CacheManager* writer = rig->NewClient("alice");  // every store is one chunk
+  ASSERT_OK_AND_ASSIGN(VfsRef vfs, writer->MountVolume("home"));
+  for (uint64_t blocks : {uint64_t{16}, uint64_t{40}}) {
+    SCOPED_TRACE(std::to_string(blocks) + " blocks");
+    std::string path = "/txn" + std::to_string(blocks);
+    ASSERT_OK(CreateFileAt(*vfs, path, 0666, TestCred()).status());
+    std::string data = PatternedBlocks(blocks);
+    ASSERT_OK(WriteFileAt(*vfs, path, data, TestCred()));
+    std::atomic<int> stores{0};
+    std::atomic<uint64_t> commits_before{0};
+    std::atomic<uint64_t> commits{0};
+    {
+      ServerGate gate(
+          *rig,
+          [&](const RpcRequest& req) -> std::optional<Status> {
+            if (req.proc == kStoreData && req.from == writer->node()) {
+              stores += 1;
+              commits_before = rig->agg->wal().stats().commits;
+            }
+            return std::nullopt;
+          },
+          [&](const RpcRequest& req) {
+            if (req.proc == kStoreData && req.from == writer->node()) {
+              commits += rig->agg->wal().stats().commits - commits_before;
+            }
+          });
+      ASSERT_OK(writer->SyncAll());
+    }
+    EXPECT_EQ(stores.load(), 1);
+    EXPECT_EQ(commits.load(), (blocks + 31) / 32);
+
+    CacheManager* reader = rig->NewClient("bob");
+    ASSERT_OK_AND_ASSIGN(VfsRef rv, reader->MountVolume("home"));
+    ASSERT_OK_AND_ASSIGN(std::string back, ReadFileAt(*rv, path));
+    EXPECT_EQ(back, data);
+  }
 }
 
 // One data path at both chunk sizes: max_rpc_bytes = 0 (every transfer is
