@@ -159,8 +159,8 @@ CacheManager::CacheManager(Network& network, std::vector<NodeId> vldb_nodes, Tic
     }
   }
   prefetcher_ = std::make_unique<Prefetcher>(Prefetcher::Options{
-      options_.prefetch_threads, options_.readahead_min_blocks,
-      options_.readahead_max_blocks});
+      options_.prefetch_threads, options_.readahead_min_blocks, options_.readahead_max_blocks,
+      options_.max_cached_blocks});
   (void)network_.RegisterNode(options_.node, this, options_.rpc);
   if (options_.keepalive_interval_ms > 0) {
     keepalive_ = std::thread([this] { KeepAliveLoop(); });
@@ -209,6 +209,12 @@ CacheManager::Stats CacheManager::stats() const {
   s.data_cache_misses = hits_.data_cache_misses.load(std::memory_order_relaxed);
   s.bytes_copied = hits_.bytes_copied.load(std::memory_order_relaxed);
   return s;
+}
+
+int CacheManager::RpcsInFlight(const Fid& fid) {
+  CVnodeRef cv = GetCVnode(fid);
+  OrderedLockGuard low(cv->low);
+  return cv->rpc_in_flight;
 }
 
 // --- Resource layer ---
@@ -1201,47 +1207,48 @@ Status CacheManager::InstallFetchReplyLocked(CVnode& cv, uint64_t aligned_off,
   return Status::Ok();
 }
 
+CacheManager::SentCall::SentCall(CacheManager* cm, const Result<NodeId>& server, uint32_t proc,
+                                 Writer body)
+    : cm_(cm), proc_(proc), w_(std::move(body)) {
+  if (!server.ok()) {
+    return;
+  }
+  server_ = *server;
+  inflight_.emplace(cm_);
+  call_ = cm_->network_.CallAsync(cm_->options_.node, *server_, proc_, w_.Message(),
+                                  cm_->ticket_.principal, cm_->EpochFor(*server_));
+}
+
+Result<WireMessage> CacheManager::SentCall::Finish(uint64_t volume_id, const Fid* fid) {
+  if (!server_.has_value()) {
+    // CallVolume retries a routing failure.
+    InflightTracker inflight(cm_);
+    return cm_->CallVolume(volume_id, proc_, w_, fid);
+  }
+  Result<WireMessage> reply = UnwrapReply(call_.Wait());
+  if (reply.ok()) {
+    if (cm_->network_.clock() != nullptr) {
+      cm_->last_contact_ns_.store(cm_->network_.clock()->Now(), std::memory_order_relaxed);
+    }
+  } else if (CallVolumeRetries(reply.code())) {
+    FirstAnswer first{*server_, std::move(reply)};
+    reply = cm_->CallVolume(volume_id, proc_, w_, fid, /*allow_recovery=*/true, &first);
+  }
+  inflight_.reset();
+  return reply;
+}
+
 void CacheManager::CallChunks(
     uint64_t volume_id, uint32_t proc, size_t count, const std::function<Writer(size_t)>& request,
     const Fid* fid, const std::function<void(size_t, Result<WireMessage>)>& on_reply) {
   Result<NodeId> server = RouteVolume(volume_id, /*refresh=*/false, /*allow_recovery=*/true);
-  if (!server.ok()) {
-    // CallVolume retries a routing failure: each request goes through it.
-    for (size_t i = 0; i < count; ++i) {
-      Writer w = request(i);
-      Result<WireMessage> reply = [&] {
-        InflightTracker inflight(this);
-        return CallVolume(volume_id, proc, w, fid);
-      }();
-      on_reply(i, std::move(reply));
-    }
-    return;
-  }
-  // A request on the wire, with its body kept for a CallVolume retry.
-  struct Sent {
-    Sent(CacheManager* cm, Writer body) : inflight(cm), w(std::move(body)) {}
-    InflightTracker inflight;
-    Writer w;
-    Network::PendingCall call;
-  };
-  std::deque<Sent> window;
+  std::deque<SentCall> window;
   size_t issued = 0;
   for (size_t i = 0; i < count; ++i) {
     while (issued < count && issued < i + kMaxInflightChunks) {
-      Sent& sent = window.emplace_back(this, request(issued++));
-      sent.call = network_.CallAsync(options_.node, *server, proc, sent.w.Message(),
-                                     ticket_.principal, EpochFor(*server));
+      window.emplace_back(this, server, proc, request(issued++));
     }
-    Sent& sent = window.front();
-    Result<WireMessage> reply = UnwrapReply(sent.call.Wait());
-    if (reply.ok()) {
-      if (network_.clock() != nullptr) {
-        last_contact_ns_.store(network_.clock()->Now(), std::memory_order_relaxed);
-      }
-    } else if (CallVolumeRetries(reply.code())) {
-      FirstAnswer first{*server, std::move(reply)};
-      reply = CallVolume(volume_id, proc, sent.w, fid, /*allow_recovery=*/true, &first);
-    }
+    Result<WireMessage> reply = window.front().Finish(volume_id, fid);
     window.pop_front();
     on_reply(i, std::move(reply));
   }
@@ -1392,102 +1399,105 @@ void CacheManager::MaybeStartPrefetch(const CVnodeRef& cv, uint64_t offset, size
       file_blocks = (cv->attr.size + kBlockSize - 1) / kBlockSize;
     }
   }
-  auto win = prefetcher_->Advance(cv->fid, BlockEnd(offset, std::max<size_t>(len, 1)),
-                                  /*sequential=*/true);
-  if (!win.has_value()) {
-    return;
+  // Claim windows until the lead or the in-flight bound stops the stream.
+  uint64_t read_end = BlockEnd(offset, std::max<size_t>(len, 1));
+  while (auto win = prefetcher_->Advance(cv->fid, read_end, /*sequential=*/true)) {
+    if (!SendWindow(cv, *win, gen, file_blocks)) {
+      return;
+    }
   }
-  if (win->start_block >= file_blocks) {
+}
+
+bool CacheManager::SendWindow(const CVnodeRef& cv, Prefetcher::Window win, uint64_t gen,
+                              uint64_t file_blocks) {
+  if (win.start_block >= file_blocks) {
     // Nothing past EOF; release the claim quietly (the stream keeps its
     // position — a subsequent append by a peer re-opens the window).
-    prefetcher_->WindowDone(cv->fid, win->start_block);
-    return;
+    prefetcher_->WindowDone(cv->fid, win.start_block);
+    return false;
   }
   // The window (and its token range) stops at EOF: a window reaching past it
   // would ask for a range no held token covers on every pass.
-  win->blocks =
-      static_cast<uint32_t>(std::min<uint64_t>(win->blocks, file_blocks - win->start_block));
-  bool all_cached = true;
+  win.blocks = static_cast<uint32_t>(std::min<uint64_t>(win.blocks, file_blocks - win.start_block));
+  uint64_t off = win.start_block * kBlockSize;
+  uint64_t len_bytes = uint64_t{win.blocks} * kBlockSize;
+  ByteRange trange = TokenRangeFor(off, len_bytes);
+  std::vector<HeldToken> held;
+  std::optional<Writer> request;
+  bool cancelled = false;
   {
     OrderedLockGuard low(cv->low);
-    for (uint64_t b = win->start_block; b < win->start_block + win->blocks; ++b) {
+    bool all_cached = true;
+    for (uint64_t b = win.start_block; b < win.start_block + win.blocks; ++b) {
       if (cv->cached_blocks.count(b) == 0) {
         all_cached = false;
         break;
       }
     }
+    // A warm rescan finds the window resident and skips the fetch; a seek,
+    // close or revocation since `gen` was read cancels it.
+    cancelled = !all_cached && cv->prefetch_gen != gen;
+    if (!all_cached && !cancelled) {
+      // Counted like any foreground fetch: revocations for tokens this very
+      // RPC may be granting get queued (Section 6.3) instead of bounced.
+      cv->rpc_in_flight += 1;
+      uint32_t want = MissingTypesLocked(*cv, kTokenDataRead | kTokenStatusRead, trange, &held);
+      request = FetchRequest(cv->fid, off, len_bytes, want, trange, /*token_only=*/false);
+    }
   }
-  if (all_cached) {
-    // Warm rescan: the window is already resident, skip the fetch entirely.
-    prefetcher_->WindowDone(cv->fid, win->start_block);
-    return;
+  if (!request.has_value()) {
+    if (cancelled) {
+      MutexLock lock(mu_);
+      stats_.prefetch_cancelled += 1;
+    }
+    prefetcher_->WindowDone(cv->fid, win.start_block);
+    return !cancelled;
   }
   {
     MutexLock lock(mu_);
     stats_.prefetch_issued += 1;
   }
+  auto call = std::make_shared<SentCall>(
+      this, RouteVolume(cv->fid.volume, /*refresh=*/false, /*allow_recovery=*/true), kFetchData,
+      std::move(*request));
   CVnodeRef ref = cv;
-  Prefetcher::Window w = *win;
-  if (!prefetcher_->Submit([this, ref, w, gen] { PrefetchWindow(ref, w, gen); })) {
-    prefetcher_->WindowDone(cv->fid, w.start_block);
+  auto harvest = [this, ref, win, gen, held, call] {
+    HarvestWindow(*ref, win, gen, held, *call);
+  };
+  if (!prefetcher_->Submit(harvest)) {
+    harvest();  // the granted token must be installed or returned either way
   }
+  return true;
 }
 
-void CacheManager::PrefetchWindow(CVnodeRef cv, Prefetcher::Window win, uint64_t gen) {
+void CacheManager::HarvestWindow(CVnode& cv, Prefetcher::Window win, uint64_t gen,
+                                 std::vector<HeldToken> held, SentCall& call) {
   uint64_t off = win.start_block * kBlockSize;
   uint64_t len = uint64_t{win.blocks} * kBlockSize;
-  bool cancelled = false;
-  ByteRange trange = TokenRangeFor(off, len);
-  uint32_t want = 0;
-  std::vector<HeldToken> held;
+  Result<WireMessage> payload = call.Finish(cv.fid.volume, nullptr);
   {
-    OrderedLockGuard low(cv->low);
-    if (cv->prefetch_gen != gen) {
-      cancelled = true;
-    } else {
-      // Counted like any foreground fetch: revocations for tokens this very
-      // RPC may be granting get queued (Section 6.3) instead of bounced.
-      cv->rpc_in_flight += 1;
-      want = MissingTypesLocked(*cv, kTokenDataRead | kTokenStatusRead, trange, &held);
-    }
-  }
-  if (cancelled) {
-    {
-      MutexLock lock(mu_);
-      stats_.prefetch_cancelled += 1;
-    }
-    prefetcher_->WindowDone(cv->fid, win.start_block);
-    return;
-  }
-  Writer w = FetchRequest(cv->fid, off, len, want, trange, /*token_only=*/false);
-  auto payload = [&] {
-    InflightTracker inflight(this);
-    return CallVolume(cv->fid.volume, kFetchData, w);
-  }();
-
-  {
-    OrderedLockGuard low(cv->low);
-    cv->rpc_in_flight -= 1;
+    OrderedLockGuard low(cv.low);
+    cv.rpc_in_flight -= 1;
     if (payload.ok()) {
       // A revocation (or seek/close) that raced us wins: its generation bump
       // keeps our data out of the cache. The reply's token and sync info are
       // installed regardless — a granted token dropped on the floor would
       // leak at the server, and DrainPendingLocked below hands it straight
       // to any revocation that was queued against it.
-      bool live = cv->prefetch_gen == gen;
-      (void)InstallFetchReplyLocked(*cv, off, len, *payload, /*install_data=*/live,
+      bool live = cv.prefetch_gen == gen;
+      (void)InstallFetchReplyLocked(cv, off, len, *payload, /*install_data=*/live,
                                     /*mark_prefetched=*/live, held, nullptr);
       if (!live) {
         MutexLock lock(mu_);
         stats_.prefetch_cancelled += 1;
       }
     }
-    auto to_return = DrainPendingLocked(*cv);
+    auto to_return = DrainPendingLocked(cv);
     for (const auto& [id, types] : to_return) {
-      (void)ReturnToken(cv->fid, id, types);
+      (void)ReturnToken(cv.fid, id, types);
     }
   }
-  prefetcher_->WindowDone(cv->fid, win.start_block);
+  prefetcher_->WindowDone(cv.fid, win.start_block);
   MaybeEvict();  // prefetched blocks add cache pressure; pay it here, not in Read
 }
 

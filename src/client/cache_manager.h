@@ -32,6 +32,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -103,13 +104,16 @@ class CacheManager : public RpcHandler {
     // foreground fetch is inflated by this much, so the reader pays the
     // latency and byte cost of its own readahead.
     uint32_t readahead_blocks = 8;
-    // Background readahead daemon width. 0 (the default) keeps the legacy
-    // synchronous data path above; > 0 moves readahead off the critical
-    // path: Read fetches only the asked-for range and hands a window
-    // descriptor to the prefetch pool, which fetches ahead with a doubling
-    // window while the reader consumes what is already cached. The pool runs
-    // readahead windows only; split transfers pipeline from the caller's
-    // thread whatever its width.
+    // Background readahead switch and harvest width. 0 (the default) keeps
+    // the legacy synchronous data path above; > 0 moves readahead off the
+    // critical path: Read fetches only the asked-for range and sends
+    // doubling readahead windows ahead of it from its own thread, and this
+    // many pool threads wait for the replies and install them. How far ahead
+    // the windows run is bounded by the cache (a quarter of
+    // max_cached_blocks, between 2 and kMaxInflightChunks max windows), not
+    // by this width; a read that misses inside a window still in flight
+    // waits for it. Split transfers pipeline from the caller's thread
+    // whatever the width.
     size_t prefetch_threads = 0;
     // Doubling-window bounds (blocks) for background readahead: the window
     // starts at min on the first confirmed sequential read and doubles per
@@ -168,7 +172,7 @@ class CacheManager : public RpcHandler {
     // Batched revocations (kRevokeTokenBatch callbacks handled).
     uint64_t revocation_batches = 0;
     // Asynchronous data path (E16).
-    uint64_t prefetch_issued = 0;     // background windows handed to the pool
+    uint64_t prefetch_issued = 0;     // readahead windows sent
     uint64_t prefetch_hits = 0;       // foreground reads served from prefetched blocks
     uint64_t prefetch_wasted = 0;     // prefetched blocks evicted/invalidated unread
     uint64_t prefetch_cancelled = 0;  // windows whose install lost a generation race
@@ -243,6 +247,8 @@ class CacheManager : public RpcHandler {
   }
 
   Stats stats() const;
+  // Data RPCs of the file still awaiting their reply (test accessor).
+  int RpcsInFlight(const Fid& fid);
   NodeId node() const { return options_.node; }
   VldbClient& vldb() { return vldb_; }
   // The persistent store, when one backs this client (crash injection and
@@ -325,7 +331,7 @@ class CacheManager : public RpcHandler {
   // client reasserts its tokens before the call instead of eating a
   // kStaleEpoch bounce.
   Result<NodeId> RouteVolume(uint64_t volume_id, bool refresh, bool allow_recovery);
-  // A call's first answer when it was sent outside CallVolume (CallChunks):
+  // A call's first answer when it was sent outside CallVolume (SentCall):
   // CallVolume takes it as its first attempt instead of sending again.
   struct FirstAnswer {
     NodeId server = 0;
@@ -346,18 +352,17 @@ class CacheManager : public RpcHandler {
                                  FirstAnswer* first = nullptr);
   // True for the answers CallVolume retries (with recovery allowed).
   static bool CallVolumeRetries(ErrorCode code);
-  // Bulk RPCs one split transfer keeps on the wire at once. A constant, not
-  // an option: each call in flight holds a server worker for its simulated
-  // wire time, so an unbounded fan-out could fill the server's pool.
-  static constexpr size_t kMaxInflightChunks = 8;
+  // Bulk RPCs one split transfer keeps on the wire at once, the bound
+  // readahead windows share. A constant, not an option: each call in flight
+  // holds a server worker for its simulated wire time, so an unbounded
+  // fan-out could fill the server's pool.
+  static constexpr size_t kMaxInflightChunks = Prefetcher::kMaxInflightWindows;
   // Sends `count` requests (`request(i)` builds the i-th) to the server of
   // `volume_id`, pipelined from the calling thread: the server is routed
-  // once, each request goes out with Network::CallAsync, and at most
+  // once, each request goes out as a SentCall, and at most
   // kMaxInflightChunks are in flight. Replies are waited in order and handed
   // to `on_reply(i, reply)` as each lands, and each wait issues the next
-  // request. A request whose first answer is one CallVolume retries goes
-  // through CallVolume; any other answer is handed on as is, so nothing is
-  // sent twice.
+  // request.
   void CallChunks(uint64_t volume_id, uint32_t proc, size_t count,
                   const std::function<Writer(size_t)>& request, const Fid* fid,
                   const std::function<void(size_t, Result<WireMessage>)>& on_reply);
@@ -460,29 +465,6 @@ class CacheManager : public RpcHandler {
       REQUIRES(cv.high) EXCLUDES(cv.low);
 
   // --- asynchronous data path ---
-  // Parses one kFetchData reply and installs it into the cvnode: merges sync
-  // info under the stamp rule, installs any granted token, and (when
-  // `install_data` and every token of `held` is still held) installs whole
-  // clean blocks and zero-fills past-EOF blocks in the aligned range. A
-  // granted token's rangeful types join `held`, so the later data chunks of
-  // a transfer rely on it too. Block numbers this call *freshly* installed
-  // (not already validly cached) are appended to `installed` (when non-null)
-  // so a failed multi-chunk op can roll back exactly its own side effects.
-  Status InstallFetchReplyLocked(CVnode& cv, uint64_t aligned_off, uint64_t aligned_len,
-                                 const WireMessage& reply, bool install_data,
-                                 bool mark_prefetched, std::vector<HeldToken>& held,
-                                 std::vector<uint64_t>* installed) REQUIRES(cv.low);
-  // Called from DfsVnode::Read after a successful read (no cvnode locks
-  // held): feeds the sequential-stream detector and, on a confirmed stream,
-  // claims the next window and hands it to the prefetch pool.
-  void MaybeStartPrefetch(const CVnodeRef& cv, uint64_t offset, size_t len, bool sequential);
-  // Pool-side body: fetch one readahead window and install it unless the
-  // generation moved (seek/close/revocation cancelled the stream).
-  void PrefetchWindow(CVnodeRef cv, Prefetcher::Window win, uint64_t gen);
-  // Drops `block` from the prefetched set if present, counting it as wasted
-  // (evicted or invalidated before any foreground read consumed it).
-  void NotePrefetchDropLocked(CVnode& cv, uint64_t block) REQUIRES(cv.low);
-
   // RAII high-water accounting around every data RPC (fetch/store, single or
   // chunked, foreground or background).
   class InflightTracker {
@@ -500,6 +482,63 @@ class CacheManager : public RpcHandler {
    private:
     CacheManager* cm_;
   };
+  // One request sent now and finished later, the step split transfers and
+  // readahead windows share. Construction sends `body` to `server` with
+  // Network::CallAsync, counted by an InflightTracker until it is finished;
+  // with no server (the route failed) nothing is sent.
+  class SentCall {
+   public:
+    SentCall(CacheManager* cm, const Result<NodeId>& server, uint32_t proc, Writer body);
+    SentCall(const SentCall&) = delete;
+    SentCall& operator=(const SentCall&) = delete;
+
+    // Waits for the reply. A success renews the client lease; an answer
+    // CallVolume retries continues through CallVolume as its first attempt,
+    // so nothing is sent twice; any other answer, kConflict included, is the
+    // result. An unsent request goes through CallVolume whole.
+    Result<WireMessage> Finish(uint64_t volume_id, const Fid* fid);
+
+   private:
+    CacheManager* cm_;
+    std::optional<InflightTracker> inflight_;
+    std::optional<NodeId> server_;
+    uint32_t proc_;
+    Writer w_;
+    Network::PendingCall call_;
+  };
+  // Parses one kFetchData reply and installs it into the cvnode: merges sync
+  // info under the stamp rule, installs any granted token, and (when
+  // `install_data` and every token of `held` is still held) installs whole
+  // clean blocks and zero-fills past-EOF blocks in the aligned range. A
+  // granted token's rangeful types join `held`, so the later data chunks of
+  // a transfer rely on it too. Block numbers this call *freshly* installed
+  // (not already validly cached) are appended to `installed` (when non-null)
+  // so a failed multi-chunk op can roll back exactly its own side effects.
+  Status InstallFetchReplyLocked(CVnode& cv, uint64_t aligned_off, uint64_t aligned_len,
+                                 const WireMessage& reply, bool install_data,
+                                 bool mark_prefetched, std::vector<HeldToken>& held,
+                                 std::vector<uint64_t>* installed) REQUIRES(cv.low);
+  // Called from DfsVnode::ReadSlices (no cvnode low lock held): feeds the
+  // sequential-stream detector and, on a confirmed stream, claims windows
+  // until the prefetcher's lead or in-flight bound is reached, sending each
+  // from this thread (SendWindow).
+  void MaybeStartPrefetch(const CVnodeRef& cv, uint64_t offset, size_t len, bool sequential);
+  // Sends one claimed window (a SentCall, counted in rpc_in_flight) unless
+  // it lies past EOF, is already cached or was cancelled since `gen`; the
+  // prefetch pool harvests the reply (HarvestWindow), or this thread does
+  // when the pool takes no more tasks. False when the stream should stop
+  // claiming (EOF, cancelled).
+  bool SendWindow(const CVnodeRef& cv, Prefetcher::Window win, uint64_t gen, uint64_t file_blocks);
+  // Waits for a window's reply and installs it unless the generation moved
+  // (seek/close/revocation cancelled the stream); the token and sync info
+  // install either way. Then drains queued revocations, releases the claim
+  // and pays the eviction the window caused.
+  void HarvestWindow(CVnode& cv, Prefetcher::Window win, uint64_t gen,
+                     std::vector<HeldToken> held, SentCall& call) EXCLUDES(cv.low);
+  // Drops `block` from the prefetched set if present, counting it as wasted
+  // (evicted or invalidated before any foreground read consumed it).
+  void NotePrefetchDropLocked(CVnode& cv, uint64_t block) REQUIRES(cv.low);
+
   ByteRange TokenRangeFor(uint64_t offset, size_t len) const;
   Status EnsureStatus(CVnode& cv) REQUIRES(cv.high) EXCLUDES(cv.low);
 

@@ -192,6 +192,14 @@ Result<std::vector<BufferSlice>> DfsVnode::ReadSlices(uint64_t offset, size_t le
   };
 
   bool sequential;
+  // Feeds the readahead stream with a read that returned `slices`.
+  auto served = [&](const std::vector<BufferSlice>& slices) {
+    size_t got = 0;
+    for (const BufferSlice& s : slices) {
+      got += s.size();
+    }
+    cm_->MaybeStartPrefetch(cv, offset, std::max<size_t>(got, 1), sequential);
+  };
   {
     Result<std::vector<BufferSlice>> local = Status(ErrorCode::kNotFound, "not tried");
     {
@@ -201,15 +209,31 @@ Result<std::vector<BufferSlice>> DfsVnode::ReadSlices(uint64_t offset, size_t le
     }
     if (local.ok()) {
       CacheManager::Count(cm_->hits_.data_cache_hits);
-      size_t got = 0;
-      for (const BufferSlice& s : *local) {
-        got += s.size();
-      }
-      cm_->MaybeStartPrefetch(cv, offset, std::max<size_t>(got, 1), sequential);
+      served(*local);
       return local;
     }
   }
   CacheManager::Count(cm_->hits_.data_cache_misses);
+  if (sequential && cm_->prefetcher_->enabled()) {
+    // A readahead window on the wire may already cover these blocks: wait
+    // for it instead of fetching them a second time, and fetch below only
+    // if some are still missing once it has landed (cancelled, evicted, or
+    // past the window). The next windows are claimed first, so the pipe
+    // refills during the wait.
+    cm_->MaybeStartPrefetch(cv, offset, std::max<size_t>(len, 1), sequential);
+    if (cm_->prefetcher_->WaitForWindows(fid_, BlockOf(offset),
+                                         BlockEnd(offset, std::max<size_t>(len, 1)))) {
+      Result<std::vector<BufferSlice>> local = Status(ErrorCode::kNotFound, "not tried");
+      {
+        OrderedLockGuard low(cv->low);
+        local = try_local_locked();
+      }
+      if (local.ok()) {
+        served(*local);
+        return local;
+      }
+    }
+  }
   // Sequential reads fetch ahead. With the background prefetcher off, the
   // synchronous path inflates the foreground fetch (and its token range) past
   // the asked-for bytes so the next reads are local; with it on, the fetch
@@ -242,11 +266,7 @@ Result<std::vector<BufferSlice>> DfsVnode::ReadSlices(uint64_t offset, size_t le
     }
   }
   if (applied.ok()) {
-    size_t got = 0;
-    for (const BufferSlice& s : *applied) {
-      got += s.size();
-    }
-    cm_->MaybeStartPrefetch(cv, offset, std::max<size_t>(got, 1), sequential);
+    served(*applied);
   }
   return applied;
 }

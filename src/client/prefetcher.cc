@@ -12,6 +12,11 @@ Prefetcher::Prefetcher(Options options) : options_(options) {
 
 Prefetcher::~Prefetcher() = default;
 
+uint64_t Prefetcher::lead_blocks() const {
+  uint64_t max_w = std::max({options_.min_window_blocks, options_.max_window_blocks, 1u});
+  return std::clamp(options_.cache_blocks / 4, 2 * max_w, kMaxInflightWindows * max_w);
+}
+
 std::optional<Prefetcher::Window> Prefetcher::Advance(const Fid& fid,
                                                       uint64_t read_end_block,
                                                       bool sequential) {
@@ -37,31 +42,61 @@ std::optional<Prefetcher::Window> Prefetcher::Advance(const Fid& fid,
   if (s.next_block < read_end_block) {
     s.next_block = read_end_block;  // the reader overran the prefetched lead
   }
-  // Bound the lead and the number of claimed windows: readahead that runs
-  // arbitrarily far ahead of the reader only creates eviction pressure.
-  if (s.inflight.size() >= options_.threads ||
-      s.next_block >= read_end_block + 2ull * max_w) {
+  // Readahead that runs arbitrarily far ahead of the reader only creates
+  // eviction pressure, and each window on the wire holds a server worker.
+  if (s.inflight.size() >= kMaxInflightWindows ||
+      s.next_block + s.window > read_end_block + lead_blocks()) {
     return std::nullopt;
   }
   Window w{s.next_block, s.window};
-  s.inflight.insert(w.start_block);
+  s.inflight.emplace(w.start_block, w.blocks);
   s.next_block += s.window;
   s.window = std::min(s.window * 2, max_w);
   return w;
 }
 
 void Prefetcher::WindowDone(const Fid& fid, uint64_t start_block) {
-  OrderedLockGuard lock(mu_);
-  auto it = streams_.find(fid);
-  if (it == streams_.end()) {
-    return;
+  {
+    OrderedLockGuard lock(mu_);
+    auto it = streams_.find(fid);
+    if (it == streams_.end()) {
+      return;
+    }
+    it->second.inflight.erase(start_block);
   }
-  it->second.inflight.erase(start_block);
+  window_done_.notify_all();
 }
 
 void Prefetcher::Forget(const Fid& fid) {
-  OrderedLockGuard lock(mu_);
-  streams_.erase(fid);
+  {
+    OrderedLockGuard lock(mu_);
+    streams_.erase(fid);
+  }
+  window_done_.notify_all();
+}
+
+bool Prefetcher::IntersectsLocked(const Fid& fid, uint64_t first_block,
+                                  uint64_t end_block) const {
+  auto it = streams_.find(fid);
+  if (it == streams_.end()) {
+    return false;
+  }
+  for (const auto& [start, blocks] : it->second.inflight) {
+    if (start < end_block && first_block < start + blocks) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool Prefetcher::WaitForWindows(const Fid& fid, uint64_t first_block, uint64_t end_block) {
+  OrderedUniqueLock lock(mu_);
+  bool waited = false;
+  while (IntersectsLocked(fid, first_block, end_block)) {
+    waited = true;
+    window_done_.wait(lock);
+  }
+  return waited;
 }
 
 bool Prefetcher::Submit(std::function<void()> task) {

@@ -89,6 +89,16 @@ uint64_t RequestOffset(const RpcRequest& request) {
   return offset.ok() ? *offset : UINT64_MAX;
 }
 
+// The byte length a kFetchData request asks for.
+uint64_t RequestLength(const RpcRequest& request) {
+  Reader r(request.payload);
+  EXPECT_TRUE(ReadFid(r).ok());
+  EXPECT_TRUE(r.ReadU64().ok());
+  auto len = r.ReadU32();
+  EXPECT_TRUE(len.ok());
+  return len.ok() ? *len : 0;
+}
+
 // A one-way latch with a bounded wait, for hooks that park a request.
 class Latch {
  public:
@@ -801,6 +811,7 @@ TEST(DatapathTest, RereadsKeepTokenStateFlat) {
     ASSERT_OK_AND_ASSIGN(VfsRef vfs, reader->MountVolume("home"));
     ASSERT_OK_AND_ASSIGN(VnodeRef f, ResolvePath(*vfs, "/reread"));
     size_t after_first = 0;
+    uint64_t windows_first = 0;
     std::vector<uint8_t> buf(threads == 0 ? kBlocks * kBlockSize : kBlockSize);
     for (int pass = 1; pass <= 40; ++pass) {
       for (uint64_t off = 0; off < kBlocks * kBlockSize; off += buf.size()) {
@@ -810,6 +821,7 @@ TEST(DatapathTest, RereadsKeepTokenStateFlat) {
       }
       if (pass == 1) {
         after_first = rig->server->tokens().TokensForFid(f->fid()).size();
+        windows_first = reader->stats().prefetch_issued;
       }
     }
     size_t after_last = rig->server->tokens().TokensForFid(f->fid()).size();
@@ -817,6 +829,230 @@ TEST(DatapathTest, RereadsKeepTokenStateFlat) {
     EXPECT_EQ(after_last, after_first);
     if (threads == 0) {
       EXPECT_LE(after_last, 4u);
+    } else {
+      // One grant per window, plus the status-read token of the lookup and
+      // one data-read grant each for blocks 0 and 1, the foreground reads
+      // the stream starts from: a read that misses inside a window on the
+      // wire waits for it instead of minting a grant of its own.
+      EXPECT_LE(after_first, windows_first + 3);
+    }
+  }
+}
+
+TEST(DatapathTest, MissWaitsForTheWindowOnTheWire) {
+  // The gate holds the kFetchData of the readahead window over blocks 2-5.
+  // A read of block 2 misses and must wait for that window rather than
+  // fetch the block itself: it stays blocked while the window is held, and
+  // once the window is released it returns block 2's bytes, the server
+  // having seen exactly one kFetchData over block 2.
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  constexpr uint64_t kBlocks = 32;
+  std::string data = PatternedBlocks(kBlocks);
+  {
+    CacheManager* setup = rig->NewClient("root");
+    ASSERT_OK_AND_ASSIGN(VfsRef vfs, setup->MountVolume("home"));
+    ASSERT_OK(CreateFileAt(*vfs, "/covered", 0666, TestCred()).status());
+    ASSERT_OK(WriteFileAt(*vfs, "/covered", data, TestCred()));
+    ASSERT_OK(setup->SyncAll());
+    ASSERT_OK(setup->ReturnAllTokens());
+  }
+  CacheManager::Options opts;
+  opts.prefetch_threads = 1;
+  opts.readahead_min_blocks = 4;
+  opts.readahead_max_blocks = 4;
+  CacheManager* reader = rig->NewClient("alice", opts);
+  ASSERT_OK_AND_ASSIGN(VfsRef vfs, reader->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(VnodeRef f, ResolvePath(*vfs, "/covered"));
+
+  Latch window_held;
+  Latch release;
+  std::atomic<bool> holding{true};
+  std::atomic<bool> stuck{false};
+  std::atomic<int> over_block_2{0};
+  ServerGate gate(*rig, [&](const RpcRequest& req) -> std::optional<Status> {
+    if (req.proc != kFetchData || req.from != reader->node()) {
+      return std::nullopt;
+    }
+    uint64_t off = RequestOffset(req);
+    if (off <= 2 * kBlockSize && 2 * kBlockSize < off + RequestLength(req)) {
+      over_block_2 += 1;
+    }
+    if (off == 2 * kBlockSize && holding.exchange(false)) {
+      window_held.Open();
+      if (!release.Wait()) {
+        stuck = true;
+      }
+    }
+    return std::nullopt;
+  });
+  std::vector<uint8_t> block(kBlockSize);
+  ASSERT_OK(f->Read(0, block).status());
+  ASSERT_OK(f->Read(kBlockSize, block).status());  // sequential: sends the windows
+  if (!window_held.Wait()) {
+    release.Open();
+    FAIL() << "the window over block 2 never reached the server";
+  }
+  std::atomic<bool> done{false};
+  Result<size_t> got = Status(ErrorCode::kInternal, "not run");
+  std::thread miss([&] {
+    got = f->Read(2 * kBlockSize, block);
+    done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(done) << "the miss fetched the block instead of waiting for its window";
+  release.Open();
+  miss.join();
+  EXPECT_FALSE(stuck);
+  ASSERT_OK(got.status());
+  ASSERT_EQ(*got, kBlockSize);
+  EXPECT_EQ(std::string(block.begin(), block.end()), data.substr(2 * kBlockSize, kBlockSize));
+  EXPECT_EQ(over_block_2.load(), 1);
+}
+
+TEST(DatapathTest, ReadaheadDepthDoesNotFollowThePool) {
+  // One harvest thread, and the gate holds each readahead kFetchData at the
+  // server until 8 are there: windows go out from the reading thread, so
+  // more than the pool's width are on the wire at once, and never more than
+  // the bulk-RPC bound (CacheManager::kMaxInflightChunks = 8), though the
+  // lead (8 max windows) would allow a ninth.
+  DfsRig::Options ropts;
+  ropts.server.rpc.worker_threads = 16;
+  auto rig = DfsRig::Create(ropts);
+  ASSERT_NE(rig, nullptr);
+  constexpr uint64_t kBlocks = 256;
+  SeedFile(*rig, "/deep_ahead", kBlocks, 'p');
+  CacheManager::Options opts;
+  opts.prefetch_threads = 1;
+  opts.readahead_min_blocks = 4;
+  opts.readahead_max_blocks = 16;
+  CacheManager* reader = rig->NewClient("alice", opts);
+  ASSERT_OK_AND_ASSIGN(VfsRef vfs, reader->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(VnodeRef f, ResolvePath(*vfs, "/deep_ahead"));
+
+  InflightProbe windows;
+  std::atomic<uint64_t> arrivals{0};
+  // The foreground reads cover blocks 0 and 1; every fetch past them is a
+  // readahead window.
+  auto window = [&](const RpcRequest& req) {
+    return req.proc == kFetchData && req.from == reader->node() &&
+           RequestOffset(req) >= 2 * kBlockSize;
+  };
+  {
+    ServerGate gate(
+        *rig,
+        [&](const RpcRequest& req) -> std::optional<Status> {
+          if (window(req)) {
+            windows.Arrive(arrivals.fetch_add(1));
+          }
+          return std::nullopt;
+        },
+        [&](const RpcRequest& req) {
+          if (window(req)) {
+            windows.Leave();
+          }
+        });
+    std::vector<uint8_t> block(kBlockSize);
+    for (uint64_t b = 0; b < kBlocks; ++b) {
+      ASSERT_OK_AND_ASSIGN(size_t n, f->Read(b * kBlockSize, block));
+      ASSERT_EQ(n, kBlockSize);
+      ASSERT_EQ(block[0], 'p') << "block " << b;
+    }
+  }
+  EXPECT_FALSE(windows.stuck()) << "8 windows never reached the server together";
+  EXPECT_GT(windows.max(), 2);
+  EXPECT_EQ(windows.max(), InflightProbe::kDepth);
+}
+
+TEST(DatapathTest, WindowOnTheWireIsHarvestedAfterCloseOrTeardown) {
+  // A readahead window's reply is held at the server, its token already
+  // granted, while the file is closed (generation bump, Forget) or the
+  // client is destroyed, and a peer writes inside the window. Once the reply
+  // is released the window is harvested: its token is installed and handed
+  // to the revocation it deferred, the file has no RPC in flight, and the
+  // peer's write is granted well inside the deferred-return timeout (2 s).
+  for (bool destroy : {false, true}) {
+    SCOPED_TRACE(destroy ? "client destroyed" : "file closed");
+    DfsRig::Options ropts;
+    ropts.server.rpc.worker_threads = 16;
+    auto rig = DfsRig::Create(ropts);
+    ASSERT_NE(rig, nullptr);
+    constexpr uint64_t kBlocks = 32;
+    SeedFile(*rig, "/teardown", kBlocks, 't');
+    CacheManager::Options opts;
+    opts.prefetch_threads = 1;
+    opts.readahead_min_blocks = 4;
+    opts.readahead_max_blocks = 4;
+    CacheManager* reader = rig->NewClient("alice", opts);
+    size_t reader_index = rig->clients.size() - 1;
+    CacheManager* writer = rig->NewClient("bob");
+    NodeId reader_node = reader->node();
+    ASSERT_OK_AND_ASSIGN(VfsRef rv, reader->MountVolume("home"));
+    ASSERT_OK_AND_ASSIGN(VfsRef wv, writer->MountVolume("home"));
+    ASSERT_OK_AND_ASSIGN(VnodeRef rf, ResolvePath(*rv, "/teardown"));
+    ASSERT_OK_AND_ASSIGN(VnodeRef wf, ResolvePath(*wv, "/teardown"));
+    std::optional<OpenHandle> handle;
+    if (!destroy) {
+      ASSERT_OK_AND_ASSIGN(handle, reader->Open(*rv, "/teardown", OpenMode::kRead));
+    }
+
+    Latch reply_held;
+    Latch release;
+    std::atomic<bool> holding{true};
+    std::atomic<bool> stuck{false};
+    ServerGate gate(
+        *rig, [](const RpcRequest&) -> std::optional<Status> { return std::nullopt; },
+        [&](const RpcRequest& req) {
+          if (req.proc == kFetchData && req.from == reader_node &&
+              RequestOffset(req) == 2 * kBlockSize && holding.exchange(false)) {
+            reply_held.Open();
+            if (!release.Wait()) {
+              stuck = true;
+            }
+          }
+        });
+    std::vector<uint8_t> block(kBlockSize);
+    ASSERT_OK(rf->Read(0, block).status());
+    ASSERT_OK(rf->Read(kBlockSize, block).status());  // sequential: sends the windows
+    if (!reply_held.Wait()) {
+      release.Open();
+      FAIL() << "the window over blocks 2-5 never reached the server";
+    }
+    uint64_t cancelled_before = reader->stats().prefetch_cancelled;
+    std::thread teardown;
+    if (destroy) {
+      // The destructor joins the harvest pool, so it waits for the reply.
+      teardown = std::thread([&] { rig->clients[reader_index].reset(); });
+    } else {
+      ASSERT_OK(handle->Close());
+    }
+    std::atomic<bool> wrote{false};
+    Status write_status = Status::Ok();
+    std::thread peer([&] {
+      write_status = wf->Write(3 * kBlockSize, std::vector<uint8_t>(kBlockSize, 'w')).status();
+      wrote = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));  // the revocation defers
+    auto released = std::chrono::steady_clock::now();
+    release.Open();
+    peer.join();
+    auto granted_after = std::chrono::steady_clock::now() - released;
+    if (teardown.joinable()) {
+      teardown.join();
+    }
+    EXPECT_FALSE(stuck);
+    ASSERT_OK(write_status);
+    EXPECT_LT(granted_after, std::chrono::milliseconds(1000))
+        << "the peer's write waited on a token the harvest never handed back";
+    if (!destroy) {
+      auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (reader->RpcsInFlight(rf->fid()) != 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      EXPECT_EQ(reader->RpcsInFlight(rf->fid()), 0);
+      EXPECT_GT(reader->stats().prefetch_cancelled, cancelled_before)
+          << "the closed file's window must be harvested without installing its data";
     }
   }
 }
@@ -998,6 +1234,59 @@ TEST(DatapathTest, SeekPreservesInflightWindowClaims) {
   // Close/revocation drops everything.
   p.Forget(fid);
   EXPECT_EQ(p.InflightWindows(fid), 0u);
+}
+
+TEST(DatapathTest, PrefetchLeadIsBoundedByTheCacheNotThreads) {
+  // One harvest thread no longer caps the claims. The claimed blocks ahead
+  // of the reader stay within clamp(cache / 4, 2 x max window, 8 x max
+  // window), and at most 8 windows are claimed at once.
+  Fid fid{1, 2, 3};
+  auto claim_all = [&](Prefetcher& p, uint64_t read_end) {
+    size_t claimed = 0;
+    while (p.Advance(fid, read_end, /*sequential=*/true).has_value()) {
+      ++claimed;
+    }
+    return claimed;
+  };
+  Prefetcher::Options opts;
+  opts.threads = 1;
+  opts.min_window_blocks = 8;
+  opts.max_window_blocks = 8;
+
+  opts.cache_blocks = 256;  // a quarter is 64 blocks: 8 windows
+  {
+    Prefetcher p(opts);
+    EXPECT_EQ(p.lead_blocks(), 64u);
+    EXPECT_EQ(claim_all(p, 1), 8u);
+    EXPECT_EQ(p.InflightWindows(fid), 8u);
+  }
+  opts.cache_blocks = 96;  // a quarter is 24 blocks: 3 windows
+  {
+    Prefetcher p(opts);
+    EXPECT_EQ(p.lead_blocks(), 24u);
+    EXPECT_EQ(claim_all(p, 1), 3u);
+    // The reader consumed one window: one more fits.
+    EXPECT_EQ(claim_all(p, 9), 1u);
+    EXPECT_EQ(p.InflightWindows(fid), 4u);
+  }
+  opts.cache_blocks = 16;  // below two max windows: the floor holds
+  {
+    Prefetcher p(opts);
+    EXPECT_EQ(p.lead_blocks(), 16u);
+    EXPECT_EQ(claim_all(p, 1), 2u);
+  }
+  opts.cache_blocks = uint64_t{1} << 20;  // a huge cache: 8 max windows
+  opts.min_window_blocks = 1;
+  opts.max_window_blocks = 64;
+  {
+    Prefetcher p(opts);
+    EXPECT_EQ(p.lead_blocks(), 512u);
+    // Windows 1, 2, 4, ..., 64, 64 fill 191 of the 512 lead blocks, but the
+    // eighth claim reaches the in-flight bound.
+    EXPECT_EQ(claim_all(p, 1), 8u);
+    p.WindowDone(fid, 1);
+    EXPECT_EQ(claim_all(p, 1), 1u);
+  }
 }
 
 TEST(DatapathTest, SeekResetsPrefetchStream) {
