@@ -14,7 +14,16 @@ Prefetcher::~Prefetcher() = default;
 
 uint64_t Prefetcher::lead_blocks() const {
   uint64_t max_w = std::max({options_.min_window_blocks, options_.max_window_blocks, 1u});
-  return std::clamp(options_.cache_blocks / 4, 2 * max_w, kMaxInflightWindows * max_w);
+  uint64_t lead = std::clamp(options_.cache_blocks / 4, 2 * max_w, kMaxInflightWindows * max_w);
+  // A cache too small for two max windows gets a lead of half of it, so the
+  // windows do not evict each other (or the block being read) before the
+  // reader gets to them.
+  return std::min(lead, std::max<uint64_t>(options_.cache_blocks / 2, 2));
+}
+
+uint32_t Prefetcher::max_window_blocks() const {
+  uint32_t max_w = std::max({options_.min_window_blocks, options_.max_window_blocks, 1u});
+  return static_cast<uint32_t>(std::min<uint64_t>(max_w, lead_blocks() / 2));
 }
 
 std::optional<Prefetcher::Window> Prefetcher::Advance(const Fid& fid,
@@ -23,8 +32,8 @@ std::optional<Prefetcher::Window> Prefetcher::Advance(const Fid& fid,
   if (!enabled()) {
     return std::nullopt;
   }
-  uint32_t min_w = std::max<uint32_t>(1, options_.min_window_blocks);
-  uint32_t max_w = std::max<uint32_t>(min_w, options_.max_window_blocks);
+  uint32_t max_w = max_window_blocks();
+  uint32_t min_w = std::clamp<uint32_t>(options_.min_window_blocks, 1, max_w);
   OrderedLockGuard lock(mu_);
   Stream& s = streams_[fid];
   if (!sequential) {

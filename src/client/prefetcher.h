@@ -21,8 +21,9 @@
 //
 // The lead is bounded by the cache, not by threads: the claimed blocks ahead
 // of the reader (in flight or landed, not yet read) stay within lead_blocks()
-// = clamp(cache_blocks / 4, 2 × max window, 8 × max window), and at most 8
-// windows of one file are in flight (kMaxInflightWindows). `next` only ever
+// = min(clamp(cache_blocks / 4, 2 × max window, 8 × max window),
+// cache_blocks / 2), no window exceeds half the lead, and at most 8 windows
+// of one file are in flight (kMaxInflightWindows). `next` only ever
 // advances, so two concurrent readers of the same stream can never fetch
 // the same window twice, and a read that misses inside a window still in
 // flight waits for it (WaitForWindows) instead of fetching the blocks again.
@@ -55,8 +56,9 @@ class Prefetcher {
     uint32_t min_window_blocks = 4;
     uint32_t max_window_blocks = 64;
     // Capacity of the client's data cache in blocks: the lead ahead of the
-    // reader stays within a quarter of it (but never below two max windows).
-    uint64_t cache_blocks = 0;
+    // reader stays within a quarter of it (but never below two max windows
+    // while those fit in half of it), and a window within half the lead.
+    uint64_t cache_blocks = uint64_t{1} << 20;
   };
 
   // Windows of one file on the wire at once, and the lead's upper bound in
@@ -81,6 +83,9 @@ class Prefetcher {
 
   // Blocks claimed ahead of the reader that a stream may hold at once.
   uint64_t lead_blocks() const;
+  // The largest window a stream grows to: the configured max, cut to half
+  // the lead when the cache is small.
+  uint32_t max_window_blocks() const;
 
   // Feeds the stream detector with a foreground read that ended at
   // `read_end_block` (exclusive). On confirmed sequential access returns the

@@ -12,6 +12,9 @@
 namespace dfs {
 namespace {
 
+// The refcount table's first block: right after the superblock.
+constexpr uint64_t kRefcountStart = 1;
+
 uint64_t GetPtr(const uint8_t* block, uint32_t index) {
   uint64_t v = 0;
   std::memcpy(&v, block + index * 8, 8);
@@ -56,7 +59,7 @@ Status Aggregate::InitWal() {
 Result<std::unique_ptr<Aggregate>> Aggregate::Format(BlockDevice& dev, Options options) {
   uint64_t block_count = dev.BlockCount();
   uint64_t rc_blocks = (block_count * 2 + kBlockSize - 1) / kBlockSize;
-  uint64_t log_start = 1 + rc_blocks;
+  uint64_t log_start = kRefcountStart + rc_blocks;
   uint64_t registry_block = log_start + options.log_blocks;
   uint64_t data_start = registry_block + 1;
   if (data_start + 16 >= block_count) {
@@ -67,7 +70,7 @@ Result<std::unique_ptr<Aggregate>> Aggregate::Format(BlockDevice& dev, Options o
   sb.block_count = block_count;
   sb.next_volume_id = options.volume_id_base;
   sb.free_blocks = block_count - data_start;
-  sb.rc_start = 1;
+  sb.rc_start = kRefcountStart;
   sb.rc_blocks = rc_blocks;
   sb.log_start = log_start;
   sb.log_blocks = options.log_blocks;
@@ -90,7 +93,7 @@ Result<std::unique_ptr<Aggregate>> Aggregate::Format(BlockDevice& dev, Options o
         block[i * 2] = 1;
       }
     }
-    RETURN_IF_ERROR(dev.Write(1 + rb, block));
+    RETURN_IF_ERROR(dev.Write(kRefcountStart + rb, block));
   }
   std::fill(block.begin(), block.end(), uint8_t{0});
   RETURN_IF_ERROR(dev.Write(registry_block, block));
@@ -188,12 +191,14 @@ Result<std::pair<VolumeSlot, uint32_t>> Aggregate::FindVolumeSlot(uint64_t volum
 
 // --- Refcount table ---
 
+// The table's geometry is fixed at Format: it starts at kRefcountStart and
+// covers the device, whose size Mount checks against the superblock. The
+// per-block lookups take it from there, not from a decoded superblock.
 Result<uint16_t> Aggregate::GetRefcount(uint64_t blockno) {
-  ASSIGN_OR_RETURN(Superblock sb, ReadSuper());
-  if (blockno >= sb.block_count) {
+  if (blockno >= dev_.BlockCount()) {
     return Status(ErrorCode::kCorrupt, "refcount query out of range");
   }
-  uint64_t rcblock = sb.rc_start + blockno / (kBlockSize / 2);
+  uint64_t rcblock = kRefcountStart + blockno / (kBlockSize / 2);
   uint32_t off = static_cast<uint32_t>((blockno % (kBlockSize / 2)) * 2);
   ASSIGN_OR_RETURN(BufferCache::Ref buf, cache_->Get(rcblock));
   uint16_t v;
@@ -202,11 +207,10 @@ Result<uint16_t> Aggregate::GetRefcount(uint64_t blockno) {
 }
 
 Status Aggregate::SetRefcount(const TxnToken& txn, uint64_t blockno, uint16_t value) {
-  ASSIGN_OR_RETURN(Superblock sb, ReadSuper());
-  if (blockno >= sb.block_count) {
+  if (blockno >= dev_.BlockCount()) {
     return Status(ErrorCode::kCorrupt, "refcount update out of range");
   }
-  uint64_t rcblock = sb.rc_start + blockno / (kBlockSize / 2);
+  uint64_t rcblock = kRefcountStart + blockno / (kBlockSize / 2);
   uint32_t off = static_cast<uint32_t>((blockno % (kBlockSize / 2)) * 2);
   uint8_t bytes[2] = {static_cast<uint8_t>(value), static_cast<uint8_t>(value >> 8)};
   return LogBlockBytes(txn, rcblock, off, bytes);
@@ -673,7 +677,11 @@ Status Aggregate::WriteContainer(const TxnToken& txn, AnodeRecord& desc, Kind ki
     size_t chunk = std::min<size_t>(kBlockSize - boff, data.size() - done);
     ASSIGN_OR_RETURN(uint64_t blockno, MapBlockForWrite(txn, desc, kind, fblock, desc_changed));
     if (kind == Kind::kData) {
-      ASSIGN_OR_RETURN(BufferCache::Ref buf, cache_->Get(blockno));
+      // A whole-block overwrite reads nothing from disk: every byte of the
+      // block is about to be replaced. A partial write merges with the
+      // block's other bytes, so it reads them first.
+      ASSIGN_OR_RETURN(BufferCache::Ref buf, chunk == kBlockSize ? cache_->GetZeroed(blockno)
+                                                                 : cache_->Get(blockno));
       std::memcpy(buf.data() + boff, data.data() + done, chunk);
       cache_->MarkDirty(buf, 0);
     } else {

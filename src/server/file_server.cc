@@ -601,6 +601,11 @@ FileServer::Body FileServer::DoStoreData(const RpcRequest& req, Reader& r,
     total += part.size();
     parts.push_back(std::move(part));
   }
+  // Optional trailing flags byte; its absence (older caller) means 0.
+  uint8_t flags = 0;
+  if (!r.AtEnd()) {
+    ASSIGN_OR_RETURN(flags, r.ReadU8());
+  }
 
   // A multi-part store is one vnode->Write over the parts gathered into one
   // buffer, so Episode commits it as one short transaction per 32 blocks
@@ -617,33 +622,42 @@ FileServer::Body FileServer::DoStoreData(const RpcRequest& req, Reader& r,
     gathered = BufferSlice::TakeOwnership(std::move(buf));
   }
 
-  // The normal store serializes through the vnode lock; the special store
-  // issued by token-revocation code must not touch L2 (the revoking thread
-  // holds it) and is pre-authorized by the token being revoked (Section 6.4).
-  MaybeLockGuard l2(revocation_path ? nullptr : &vnode_locks_.Get(fid));
-  if (!revocation_path) {
-    // The client's write data tokens must cover the range — by union, the
-    // rule the client used to decide it needed no new grant.
-    if (!tokens_.Covers(req.from, fid, kTokenDataWrite, ByteRange{offset, offset + total})) {
-      return Status(ErrorCode::kConflict, "store without a covering write data token");
-    }
-  }
-  OrderedLockGuard l4(io_locks_.Get(fid));
-  ASSIGN_OR_RETURN(VnodeRef vnode, ResolveFid(fid));
-  if (!gathered.empty()) {
-    RETURN_IF_ERROR(vnode->Write(offset, gathered.span()).status());
-  }
-  {
-    MutexLock lock(mu_);
-    stats_.bytes_moved += total;
-    // vnode->Write absorbs the store into the physical file system's own
-    // blocks: the one server-side copy of a one-part store, the second of a
-    // gathered one.
-    stats_.bytes_copied += parts.size() > 1 ? 2 * total : total;
-  }
-  ASSIGN_OR_RETURN(FileAttr attr, vnode->GetAttr());
   Writer w;
-  PutSyncInfo(w, SyncInfo{attr, NextStamp(fid)});
+  {
+    // The normal store serializes through the vnode lock; the special store
+    // issued by token-revocation code must not touch L2 (the revoking thread
+    // holds it) and is pre-authorized by the token being revoked (Section 6.4).
+    MaybeLockGuard l2(revocation_path ? nullptr : &vnode_locks_.Get(fid));
+    if (!revocation_path) {
+      // The client's write data tokens must cover the range — by union, the
+      // rule the client used to decide it needed no new grant.
+      if (!tokens_.Covers(req.from, fid, kTokenDataWrite, ByteRange{offset, offset + total})) {
+        return Status(ErrorCode::kConflict, "store without a covering write data token");
+      }
+    }
+    OrderedLockGuard l4(io_locks_.Get(fid));
+    ASSIGN_OR_RETURN(VnodeRef vnode, ResolveFid(fid));
+    if (!gathered.empty()) {
+      RETURN_IF_ERROR(vnode->Write(offset, gathered.span()).status());
+    }
+    {
+      MutexLock lock(mu_);
+      stats_.bytes_moved += total;
+      // vnode->Write absorbs the store into the physical file system's own
+      // blocks: the one server-side copy of a one-part store, the second of a
+      // gathered one.
+      stats_.bytes_copied += parts.size() > 1 ? 2 * total : total;
+    }
+    ASSIGN_OR_RETURN(FileAttr attr, vnode->GetAttr());
+    PutSyncInfo(w, SyncInfo{attr, NextStamp(fid)});
+  }
+  if ((flags & kStoreFlagForceLog) != 0) {
+    // fsync's store: force the log before answering, so the client needs no
+    // kSyncVolume. L2 and L4 are already released, so the file's next store
+    // is not held behind the force.
+    ASSIGN_OR_RETURN(VfsRef vfs, ExportedVolume(fid.volume));
+    RETURN_IF_ERROR(vfs->Sync());
+  }
   return w;
 }
 

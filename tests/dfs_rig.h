@@ -126,6 +126,28 @@ struct DfsRig {
     return t.ok() ? *t : Ticket{};
   }
 
+  // The primary server machine crashes: the file server and the aggregate's
+  // buffer cache die, the disk survives. The aggregate is mounted again
+  // (replaying its log) and a fresh file server exports it on the same node.
+  Status CrashServer() {
+    server.reset();  // unregister the old endpoint
+    agg->CrashNow();
+    agg.reset();
+    Aggregate::Options opts;
+    opts.wal.clock = &clock;
+    ASSIGN_OR_RETURN(agg, Aggregate::Mount(*disk, opts));
+    server = std::make_unique<FileServer>(net, auth, kServerNode);
+    return server->ExportAggregate(agg.get());
+  }
+
+  // The primary aggregate's attributes for `fid`, read straight from
+  // Episode: no token is taken, so no client is revoked and nothing commits.
+  Result<FileAttr> AggregateAttr(const Fid& fid) {
+    ASSIGN_OR_RETURN(VfsRef vfs, agg->MountVolume(fid.volume));
+    ASSIGN_OR_RETURN(VnodeRef vnode, vfs->VnodeByFid(fid));
+    return vnode->GetAttr();
+  }
+
   // Kills the primary server (token state, host registrations, and leases die
   // with it; the aggregate — the disk — survives) and brings it back under a
   // new incarnation epoch with the given grace period. Clients discover the

@@ -22,16 +22,7 @@ TEST(DurabilityTest, FsyncSurvivesServerCrash) {
 
   // The server machine crashes: its caches die, the disk survives. Bring the
   // file server back on the same aggregate.
-  rig->server.reset();  // unregister the old endpoint
-  rig->agg->CrashNow();
-  rig->agg.reset();
-  ASSERT_OK_AND_ASSIGN(rig->agg, [&] {
-    Aggregate::Options opts;
-    opts.wal.clock = &rig->clock;
-    return Aggregate::Mount(*rig->disk, opts);
-  }());
-  rig->server = std::make_unique<FileServer>(rig->net, rig->auth, kServerNode);
-  ASSERT_OK(rig->server->ExportAggregate(rig->agg.get()));
+  ASSERT_OK(rig->CrashServer());
 
   // The client reconnects transparently; the fsynced file is there with its
   // metadata (name, size) intact — the Section 2.2 fsync contract (the log).
@@ -40,6 +31,63 @@ TEST(DurabilityTest, FsyncSurvivesServerCrash) {
   ASSERT_OK_AND_ASSIGN(FileAttr attr, f2->GetAttr());
   EXPECT_EQ(attr.size, 12u);
   EXPECT_EQ(f2->fid(), fid) << "FIDs are stable across a server restart";
+}
+
+// A 64-block file whose fsync push goes out as 16 four-block stores.
+constexpr uint64_t kFileBlocks = 64;
+constexpr uint64_t kChunkBytes = 4 * kBlockSize;
+
+CacheManager::Options ChunkedClient() {
+  CacheManager::Options opts;
+  opts.max_rpc_bytes = kChunkBytes;
+  return opts;
+}
+
+TEST(DurabilityTest, MultiChunkFsyncSurvivesServerCrash) {
+  // Every one of the push's 16 store transactions is durable when fsync
+  // returns: after a crash the file is there with the size and data version
+  // the server had at that moment. (The file's bytes are not logged; they
+  // reach the disk at the server's next checkpoint or buffer eviction.)
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  CacheManager* client = rig->NewClient("alice", ChunkedClient());
+  ASSERT_OK_AND_ASSIGN(VfsRef vfs, client->MountVolume("home"));
+  ASSERT_OK(CreateFileAt(*vfs, "/multi", 0666, TestCred()).status());
+  ASSERT_OK(WriteFileAt(*vfs, "/multi", std::string(kFileBlocks * kBlockSize, 'm'), TestCred()));
+  ASSERT_OK_AND_ASSIGN(VnodeRef f, ResolvePath(*vfs, "/multi"));
+  Fid fid = f->fid();
+  ASSERT_OK(client->Fsync(fid));
+  ASSERT_OK_AND_ASSIGN(FileAttr synced, rig->AggregateAttr(fid));
+  ASSERT_EQ(synced.size, kFileBlocks * kBlockSize);
+
+  ASSERT_OK(rig->CrashServer());
+  ASSERT_OK_AND_ASSIGN(FileAttr recovered, rig->AggregateAttr(fid));
+  EXPECT_EQ(recovered.size, synced.size);
+  EXPECT_EQ(recovered.data_version, synced.data_version);
+  ASSERT_OK(client->ReturnAllTokens());
+  ASSERT_OK_AND_ASSIGN(VnodeRef f2, ResolvePath(*vfs, "/multi"));
+  EXPECT_EQ(f2->fid(), fid);
+}
+
+TEST(DurabilityTest, FsyncSendsOnlyItsStores) {
+  // An fsync that pushes N chunks sends N calls: each store forces the
+  // server's log as it answers, so no kSyncVolume follows. An fsync with
+  // nothing dirty sends exactly one call, the kSyncVolume.
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  CacheManager* client = rig->NewClient("alice", ChunkedClient());
+  ASSERT_OK_AND_ASSIGN(VfsRef vfs, client->MountVolume("home"));
+  ASSERT_OK(CreateFileAt(*vfs, "/calls", 0666, TestCred()).status());
+  ASSERT_OK(WriteFileAt(*vfs, "/calls", std::string(kFileBlocks * kBlockSize, 'c'), TestCred()));
+  ASSERT_OK_AND_ASSIGN(VnodeRef f, ResolvePath(*vfs, "/calls"));
+
+  LinkStats before = rig->net.StatsBetween(client->node(), kServerNode);
+  ASSERT_OK(client->Fsync(f->fid()));
+  LinkStats pushed = rig->net.StatsBetween(client->node(), kServerNode);
+  EXPECT_EQ(pushed.calls - before.calls, kFileBlocks * kBlockSize / kChunkBytes);
+
+  ASSERT_OK(client->Fsync(f->fid()));
+  EXPECT_EQ(rig->net.StatsBetween(client->node(), kServerNode).calls - pushed.calls, 1u);
 }
 
 TEST(DurabilityTest, UnsyncedCreateLostOnServerCrash) {
@@ -52,16 +100,7 @@ TEST(DurabilityTest, UnsyncedCreateLostOnServerCrash) {
   // This create reaches the server but is never fsynced: batched in its log.
   ASSERT_OK(WriteFileAt(*vfs, "/unsynced", "lost", TestCred()));
 
-  rig->server.reset();
-  rig->agg->CrashNow();
-  rig->agg.reset();
-  ASSERT_OK_AND_ASSIGN(rig->agg, [&] {
-    Aggregate::Options opts;
-    opts.wal.clock = &rig->clock;
-    return Aggregate::Mount(*rig->disk, opts);
-  }());
-  rig->server = std::make_unique<FileServer>(rig->net, rig->auth, kServerNode);
-  ASSERT_OK(rig->server->ExportAggregate(rig->agg.get()));
+  ASSERT_OK(rig->CrashServer());
   ASSERT_OK(client->ReturnAllTokens());
 
   EXPECT_OK(ResolvePath(*vfs, "/synced").status());

@@ -87,6 +87,49 @@ TEST(EpisodeTest, DoubleIndirectFile) {
   EXPECT_EQ(std::string(out.begin(), out.end()), probe);
 }
 
+TEST(EpisodeTest, OverwriteReadsOnlyPartialBlocks) {
+  // A 64-block buffer cache under a 256-block file: the file's first blocks
+  // are long evicted when they are overwritten. A whole-block overwrite
+  // reads nothing from the disk; a 100-byte write into an uncached block
+  // reads the block and keeps its other bytes.
+  constexpr uint64_t kFileBlocks = 256;
+  Aggregate::Options opts;
+  opts.cache_blocks = 64;
+  TestFs fs = TestFs::Create(8192, opts);
+  ASSERT_OK_AND_ASSIGN(VnodeRef f, CreateFileAt(*fs.vfs, "/big", 0644, TestCred()));
+  ASSERT_OK(f->Write(0, std::vector<uint8_t>(kFileBlocks * kBlockSize, 'a')).status());
+  ASSERT_OK(fs.agg->Checkpoint());
+  // Warm the metadata the overwrite walks (superblock, volume slot, anode,
+  // indirect and refcount blocks) with a byte written into the last block.
+  ASSERT_OK(f->Write(kFileBlocks * kBlockSize - 1, std::vector<uint8_t>(1, 'a')).status());
+
+  uint64_t reads_before = fs.disk->stats().reads;
+  ASSERT_OK(f->Write(0, std::vector<uint8_t>(16 * kBlockSize, 'b')).status());
+  EXPECT_EQ(fs.disk->stats().reads, reads_before) << "16 whole blocks overwritten unread";
+
+  constexpr uint64_t kPartialOffset = 40 * kBlockSize + 1000;
+  reads_before = fs.disk->stats().reads;
+  ASSERT_OK(f->Write(kPartialOffset, std::vector<uint8_t>(100, 'c')).status());
+  EXPECT_GT(fs.disk->stats().reads, reads_before) << "a partial write merges with the disk";
+
+  auto check = [&](VnodeRef& file) {
+    std::vector<uint8_t> out(kFileBlocks * kBlockSize);
+    ASSERT_OK_AND_ASSIGN(size_t n, file->Read(0, out));
+    ASSERT_EQ(n, out.size());
+    std::vector<uint8_t> want(kFileBlocks * kBlockSize, 'a');
+    std::fill_n(want.begin(), 16 * kBlockSize, 'b');
+    std::fill_n(want.begin() + kPartialOffset, 100, 'c');
+    EXPECT_TRUE(out == want);
+  };
+  check(f);
+  // Reading the whole file through the small cache has evicted, and so
+  // written back, both overwrites; the log holds their metadata.
+  ASSERT_OK(fs.agg->SyncLog());
+  fs.CrashAndRemount(opts);
+  ASSERT_OK_AND_ASSIGN(VnodeRef again, ResolvePath(*fs.vfs, "/big"));
+  check(again);
+}
+
 TEST(EpisodeTest, TruncateShrinkAndReextend) {
   TestFs fs = TestFs::Create();
   ASSERT_OK(WriteFileAt(*fs.vfs, "/t", "abcdefghij", TestCred()));
