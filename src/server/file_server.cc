@@ -69,17 +69,6 @@ Status FileServer::ExportAggregate(VolumeOps* ops) {
     volume_ops_.push_back(ops);
   }
   Status refreshed = RefreshExports();
-  if (refreshed.ok()) {
-    // Pre-traffic window: the aggregate's volumes are mounted but the node
-    // has not answered the network yet, so the token table is still
-    // resizable. No-op unless Options::tokens.shards was left at 0.
-    size_t volume_count;
-    {
-      MutexLock lock(mu_);
-      volume_count = volumes_.size();
-    }
-    tokens_.AutotuneShards(volume_count);
-  }
   EnsureRegistered();
   return refreshed;
 }

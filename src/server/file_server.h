@@ -57,7 +57,7 @@ class FileServer : public RpcHandler {
  public:
   struct Options {
     Network::NodeOptions rpc;
-    // Sharding + revocation fan-out knobs, passed through to the token
+    // Revocation fan-out and lease knobs, passed through to the token
     // manager (the bench's serial-ablation flag comes in this way).
     TokenManager::Options tokens;
     // Liveness + restart recovery (src/recovery). Defaults reproduce the

@@ -32,80 +32,11 @@ void EraseIndexed(Index& index, const Key& key, TokenId id) {
 }
 }  // namespace
 
-// Builds a fresh n-shard table. Tags 1..n: a thread only ever holds one shard
-// lock, but distinct tags keep the hierarchy diagnostics unambiguous.
-std::shared_ptr<TokenManager::ShardVec> TokenManager::MakeTable(size_t n) {
-  auto table = std::make_shared<ShardVec>();
-  table->reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    table->push_back(std::make_unique<Shard>(i + 1));
-  }
-  return table;
-}
-
-TokenManager::TokenManager(const Options& options) : options_(options) {
-  // shards == 0 arms autotuning and starts at the historical default of 8;
-  // the table is resized once, from the volume count, at export time.
-  table_ = MakeTable(options_.shards == 0 ? 8 : options_.shards);
-  autotune_armed_.store(options_.shards == 0, std::memory_order_release);
-}
+TokenManager::TokenManager(const Options& options) : options_(options) {}
 
 TokenManager::~TokenManager() = default;
 
-TokenManager::Shard& TokenManager::ShardFor(const ShardVec& table, uint64_t volume) {
-  return *table[MixVolume(volume) % table.size()];
-}
-
-// Dynamic all-shard acquisition is beyond the static analysis (the lock set
-// is a runtime loop); the OrderedMutex runtime checker still validates the
-// tag-ordered acquisitions.
-void TokenManager::AutotuneShards(size_t volume_count) NO_THREAD_SAFETY_ANALYSIS {
-  // First caller wins; later aggregates (and explicit shard counts, which
-  // never arm) leave the table alone.
-  if (!autotune_armed_.exchange(false, std::memory_order_acq_rel)) {
-    return;
-  }
-  size_t desired = 1;
-  while (desired < volume_count && desired < 64) {
-    desired *= 2;
-  }
-  auto current = SnapshotTable();
-  if (desired == current->size()) {
-    return;
-  }
-  auto next = MakeTable(desired);
-  // Resizing rehashes every volume->shard assignment, so it is only legal
-  // while no tokens exist — and the check must be atomic with the swap.
-  // Hold EVERY shard lock (legal at one level: tags 1..n acquired in order)
-  // across emptiness check, retirement and publish. A racing Grant/Reassert
-  // on the old snapshot either minted before we took its shard lock (some
-  // shard is non-empty — keep the current table) or is still waiting on it
-  // and will find the shard retired, re-snapshotting the live table before
-  // minting. Releasing a shard between check and publish would let a grant
-  // mint a token into the discarded table, invisible to Return/Revoke.
-  bool empty = true;
-  size_t locked = 0;
-  for (; locked < current->size(); ++locked) {
-    (*current)[locked]->Lock();
-    if (!(*current)[locked]->tokens.empty()) {
-      ++locked;  // this shard's lock is held too; unwind it below
-      empty = false;
-      break;
-    }
-  }
-  if (empty) {
-    for (const auto& shard : *current) {
-      shard->retired = true;
-    }
-    // table_mu_ is a leaf: taking it under the shard locks is the one legal
-    // nesting direction.
-    MutexLock lock(table_mu_);
-    table_ = std::move(next);
-  }
-  for (size_t i = locked; i-- > 0;) {
-    (*current)[i]->Unlock();
-  }
-}
+size_t TokenManager::ShardIndex(uint64_t volume) { return MixVolume(volume) % kShards; }
 
 void TokenManager::RegisterHost(HostId host, TokenHost* handler) {
   SharedOrderedLockGuard lock(host_mu_);
@@ -120,18 +51,17 @@ void TokenManager::UnregisterHost(HostId host) {
   // Per-shard cleanup after the registry lock is released: kTokenShard sits
   // below kHostRegistry in the hierarchy, so the two are never nested this
   // way around.
-  auto table = SnapshotTable();
-  for (const auto& shard : *table) {
-    ShardGuard lock(*shard);
-    for (auto it = shard->tokens.begin(); it != shard->tokens.end();) {
+  for (Shard& shard : shards_) {
+    ShardGuard lock(shard);
+    for (auto it = shard.tokens.begin(); it != shard.tokens.end();) {
       if (it->second.host == host) {
-        UnindexLocked(*shard, it->second);
-        it = shard->tokens.erase(it);
+        UnindexLocked(shard, it->second);
+        it = shard.tokens.erase(it);
       } else {
         ++it;
       }
     }
-    shard->returned_cv.notify_all();
+    shard.returned_cv.notify_all();
   }
 }
 
@@ -435,90 +365,66 @@ Status TokenManager::RevokeConflicts(Shard& shard,
 
 Result<Token> TokenManager::Grant(HostId host, const Fid& fid, uint32_t types,
                                   ByteRange range) {
-  // One table snapshot for the whole retry loop: every round's scan, erase
-  // and mint land in the same shard object. The one exception: finding the
-  // shard retired means the pre-traffic autotune resize swapped the table
-  // while we waited on the lock — minting here would hand out a token
-  // invisible to Return/Revoke/HasToken on the live table, so refresh the
-  // snapshot instead (retirement is one-shot, the outer loop runs at most
-  // twice).
-  for (;;) {
-    auto table = SnapshotTable();
-    Shard& shard = ShardFor(*table, fid.volume);
-    bool retired = false;
-    for (int round = 0; round < 64; ++round) {
-      std::vector<std::pair<Token, uint32_t>> conflicts;
-      {
-        ShardGuard lock(shard);
-        if (shard.retired) {
-          retired = true;
-          break;
+  const size_t index = ShardIndex(fid.volume);
+  Shard& shard = shards_[index];
+  for (int round = 0; round < 64; ++round) {
+    std::vector<std::pair<Token, uint32_t>> conflicts;
+    {
+      ShardGuard lock(shard);
+      conflicts = ConflictsLocked(shard, host, fid, types, range);
+      if (!conflicts.empty() && options_.host_silent) {
+        // Lease fast path: when *every* conflicting holder's lease has
+        // already lapsed, their tokens are garbage — reap them under the
+        // scan's own lock hold and mint immediately, skipping the
+        // revocation fan-out round (and its handler resolution) entirely.
+        bool all_silent = true;
+        for (const auto& [conflict, conflicting_types] : conflicts) {
+          if (!options_.host_silent(conflict.host)) {
+            all_silent = false;
+            break;
+          }
         }
-        conflicts = ConflictsLocked(shard, host, fid, types, range);
-        if (!conflicts.empty() && options_.host_silent) {
-          // Lease fast path: when *every* conflicting holder's lease has
-          // already lapsed, their tokens are garbage — reap them under the
-          // scan's own lock hold and mint immediately, skipping the
-          // revocation fan-out round (and its handler resolution) entirely.
-          bool all_silent = true;
+        if (all_silent) {
           for (const auto& [conflict, conflicting_types] : conflicts) {
-            if (!options_.host_silent(conflict.host)) {
-              all_silent = false;
-              break;
-            }
+            EraseTokenTypesLocked(shard, conflict.id, conflicting_types);
+            shard.stats.lease_expired_drops += 1;
           }
-          if (all_silent) {
-            for (const auto& [conflict, conflicting_types] : conflicts) {
-              EraseTokenTypesLocked(shard, conflict.id, conflicting_types);
-              shard.stats.lease_expired_drops += 1;
-            }
-            shard.stats.lease_fast_path_grants += 1;
-            shard.returned_cv.notify_all();
-            conflicts.clear();
-          }
-        }
-        if (conflicts.empty()) {
-          Token token;
-          token.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-          token.fid = fid;
-          token.types = types;
-          token.range = range;
-          token.host = host;
-          InsertTokenLocked(shard, token);
-          shard.stats.grants += 1;
-          return token;
+          shard.stats.lease_fast_path_grants += 1;
+          shard.returned_cv.notify_all();
+          conflicts.clear();
         }
       }
-      Status s = RevokeConflicts(shard, std::move(conflicts));
-      if (!s.ok()) {
-        return s;
+      if (conflicts.empty()) {
+        Token token;
+        token.id = next_id_.fetch_add(1, std::memory_order_relaxed) * kShards + index;
+        token.fid = fid;
+        token.types = types;
+        token.range = range;
+        token.host = host;
+        InsertTokenLocked(shard, token);
+        shard.stats.grants += 1;
+        return token;
       }
-      // Loop: re-scan. New conflicting grants may have slipped in.
     }
-    if (!retired) {
-      return Status(ErrorCode::kTimedOut,
-                    "grant retry limit exceeded (revocation livelock)");
+    Status s = RevokeConflicts(shard, std::move(conflicts));
+    if (!s.ok()) {
+      return s;
     }
-    // Retired: start over on the refreshed snapshot.
+    // Loop: re-scan. New conflicting grants may have slipped in.
   }
+  return Status(ErrorCode::kTimedOut, "grant retry limit exceeded (revocation livelock)");
 }
 
 Status TokenManager::Reassert(const Token& token) {
-  // Like Grant: a retired shard means the autotune resize swapped the table
-  // while we held a stale snapshot — re-snapshot rather than mint into the
-  // discarded table (one-shot, so at most one retry).
-  for (;;) {
-    auto table = SnapshotTable();
-    Shard& shard = ShardFor(*table, token.fid.volume);
-    ShardGuard lock(shard);
-    if (shard.retired) {
-      continue;
-    }
-    return ReassertLocked(shard, token);
+  const size_t index = ShardIndex(token.fid.volume);
+  Shard& shard = shards_[index];
+  ShardGuard lock(shard);
+  if (token.id % kShards != index) {
+    // Every minted id names its fid's shard; this one cannot have been
+    // granted for this fid.
+    shard.stats.reassert_conflicts += 1;
+    return Status(ErrorCode::kConflict, "token id does not match its fid's shard");
   }
-}
-
-Status TokenManager::ReassertLocked(Shard& shard, const Token& token) {
   auto it = shard.tokens.find(token.id);
   if (it != shard.tokens.end()) {
     if (it->second.host == token.host && it->second.fid == token.fid) {
@@ -536,45 +442,34 @@ Status TokenManager::ReassertLocked(Shard& shard, const Token& token) {
   InsertTokenLocked(shard, token);
   shard.stats.reasserts += 1;
   // Fresh grants must mint ids above every reasserted one.
+  TokenId seq = token.id / kShards;
   TokenId cur = next_id_.load(std::memory_order_relaxed);
-  while (cur <= token.id &&
-         !next_id_.compare_exchange_weak(cur, token.id + 1, std::memory_order_relaxed)) {
+  while (cur <= seq &&
+         !next_id_.compare_exchange_weak(cur, seq + 1, std::memory_order_relaxed)) {
   }
   return Status::Ok();
 }
 
 Status TokenManager::Return(TokenId id, uint32_t types) {
-  // A TokenId does not encode its volume, so probe shards; grants are the hot
-  // path, not returns.
-  auto table = SnapshotTable();
-  for (const auto& shard : *table) {
-    ShardGuard lock(*shard);
-    auto it = shard->tokens.find(id);
-    if (it == shard->tokens.end()) {
-      continue;
-    }
-    EraseTokenTypesLocked(*shard, id, types);
-    shard->returned_cv.notify_all();
-    return Status::Ok();
+  Shard& shard = ShardOf(id);
+  ShardGuard lock(shard);
+  if (shard.tokens.count(id) == 0) {
+    return Status(ErrorCode::kNotFound, "unknown token");
   }
-  return Status(ErrorCode::kNotFound, "unknown token");
+  EraseTokenTypesLocked(shard, id, types);
+  shard.returned_cv.notify_all();
+  return Status::Ok();
 }
 
 bool TokenManager::HasToken(TokenId id) const {
-  auto table = SnapshotTable();
-  for (const auto& shard : *table) {
-    ShardGuard lock(*shard);
-    if (shard->tokens.count(id) != 0) {
-      return true;
-    }
-  }
-  return false;
+  Shard& shard = ShardOf(id);
+  ShardGuard lock(shard);
+  return shard.tokens.count(id) != 0;
 }
 
 bool TokenManager::Covers(HostId host, const Fid& fid, uint32_t types,
                           const ByteRange& range) const {
-  auto table = SnapshotTable();
-  Shard& shard = ShardFor(*table, fid.volume);
+  Shard& shard = ShardFor(fid.volume);
   ShardGuard lock(shard);
   auto fit = shard.by_fid.find(fid);
   for (uint32_t bit = 1; bit != 0 && types != 0; bit <<= 1) {
@@ -602,8 +497,7 @@ bool TokenManager::Covers(HostId host, const Fid& fid, uint32_t types,
 }
 
 std::vector<Token> TokenManager::TokensForFid(const Fid& fid) const {
-  auto table = SnapshotTable();
-  Shard& shard = ShardFor(*table, fid.volume);
+  Shard& shard = ShardFor(fid.volume);
   ShardGuard lock(shard);
   std::vector<Token> out;
   auto fit = shard.by_fid.find(fid);
@@ -621,10 +515,9 @@ std::vector<Token> TokenManager::TokensForFid(const Fid& fid) const {
 
 std::vector<Token> TokenManager::TokensForHost(HostId host) const {
   std::vector<Token> out;
-  auto table = SnapshotTable();
-  for (const auto& shard : *table) {
-    ShardGuard lock(*shard);
-    for (const auto& [id, t] : shard->tokens) {
+  for (Shard& shard : shards_) {
+    ShardGuard lock(shard);
+    for (const auto& [id, t] : shard.tokens) {
       if (t.host == host) {
         out.push_back(t);
       }
@@ -635,31 +528,30 @@ std::vector<Token> TokenManager::TokensForHost(HostId host) const {
 
 TokenManager::Stats TokenManager::stats() const {
   Stats total;
-  auto table = SnapshotTable();
-  for (const auto& shard : *table) {
-    ShardGuard lock(*shard);
-    total.grants += shard->stats.grants;
-    total.revocations += shard->stats.revocations;
-    total.deferred_returns += shard->stats.deferred_returns;
-    total.refusals += shard->stats.refusals;
-    total.fanout_batches += shard->stats.fanout_batches;
-    total.host_batches += shard->stats.host_batches;
-    total.reasserts += shard->stats.reasserts;
-    total.reassert_conflicts += shard->stats.reassert_conflicts;
-    total.lease_expired_drops += shard->stats.lease_expired_drops;
-    total.lease_fast_path_grants += shard->stats.lease_fast_path_grants;
-    total.lock_acquisitions += shard->lock_acquisitions.load(std::memory_order_relaxed);
-    total.lock_contended += shard->lock_contended.load(std::memory_order_relaxed);
+  for (const Shard& shard : shards_) {
+    // Uncounted lock: reading the counters is not a token operation.
+    OrderedLockGuard lock(shard.mu);
+    total.grants += shard.stats.grants;
+    total.revocations += shard.stats.revocations;
+    total.deferred_returns += shard.stats.deferred_returns;
+    total.refusals += shard.stats.refusals;
+    total.fanout_batches += shard.stats.fanout_batches;
+    total.host_batches += shard.stats.host_batches;
+    total.reasserts += shard.stats.reasserts;
+    total.reassert_conflicts += shard.stats.reassert_conflicts;
+    total.lease_expired_drops += shard.stats.lease_expired_drops;
+    total.lease_fast_path_grants += shard.stats.lease_fast_path_grants;
+    total.lock_acquisitions += shard.lock_acquisitions.load(std::memory_order_relaxed);
+    total.lock_contended += shard.lock_contended.load(std::memory_order_relaxed);
   }
   return total;
 }
 
 size_t TokenManager::VolumeIndexEntries() const {
   std::set<uint64_t> volumes;
-  auto table = SnapshotTable();
-  for (const auto& shard : *table) {
-    ShardGuard lock(*shard);
-    for (const auto& [fid, ids] : shard->by_fid) {
+  for (Shard& shard : shards_) {
+    ShardGuard lock(shard);
+    for (const auto& [fid, ids] : shard.by_fid) {
       volumes.insert(fid.volume);
     }
   }

@@ -15,11 +15,13 @@
 //
 // Two levels of parallelism keep the hot path fast:
 //
-//   - The bookkeeping is sharded by volume hash: each shard has its own
-//     hierarchy-checked OrderedMutex (LockLevel::kTokenShard), so grants on
-//     unrelated volumes never contend. All state a single grant touches lives
-//     in one shard, because conflicts are always same-file or whole-volume —
-//     both within the granting fid's volume.
+//   - The bookkeeping is sharded by volume hash over a fixed kShards shards:
+//     each shard has its own hierarchy-checked OrderedMutex
+//     (LockLevel::kTokenShard), so grants on unrelated volumes never contend.
+//     All state a single grant touches lives in one shard, because conflicts
+//     are always same-file or whole-volume — both within the granting fid's
+//     volume. A token id names its shard (id % kShards), so Return and
+//     HasToken lock exactly that one.
 //   - Within a shard, a per-file conflict index finds a grant's candidate
 //     conflicts: the tokens on the requested fid plus the volume's
 //     whole-volume tokens. A grant costs in proportion to that file's
@@ -39,6 +41,7 @@
 #ifndef SRC_TOKENS_TOKEN_MANAGER_H_
 #define SRC_TOKENS_TOKEN_MANAGER_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -88,12 +91,11 @@ class TokenHost {
 
 class TokenManager {
  public:
+  // Volume-hash shards of the grant bookkeeping. A token id is
+  // seq * kShards + shard, where shard is the fid's volume hash mod kShards.
+  static constexpr size_t kShards = 8;
+
   struct Options {
-    // Number of volume-hash shards for the grant bookkeeping. 0 arms
-    // autotuning: the table starts at 8 shards and is resized once from the
-    // serving aggregate's volume count (AutotuneShards, called by
-    // FileServer::ExportAggregate before the node answers the network).
-    size_t shards = 8;
     // Fan-out executor width for concurrent revocations. 0 issues revocations
     // serially in the granting thread (the ablation baseline).
     size_t revoke_fanout_threads = 4;
@@ -133,8 +135,8 @@ class TokenManager {
     // Grants whose conflicts were *all* expired-lease holders: the conflict
     // scan reaped them in place and minted without a revocation fan-out round.
     uint64_t lease_fast_path_grants = 0;
-    // Shard-lock contention (groundwork for shard autotuning): total
-    // exclusive acquisitions, and how many found the lock already held.
+    // Shard-lock contention: exclusive acquisitions by token operations
+    // (stats() itself does not count), and how many found the lock held.
     uint64_t lock_acquisitions = 0;
     uint64_t lock_contended = 0;
   };
@@ -158,7 +160,8 @@ class TokenManager {
   // Recovery protocol: re-installs a token a surviving client held under the
   // previous server incarnation, preserving its id. Idempotent for the same
   // holder; fails with kConflict when a conflicting grant (or another host's
-  // reassertion of the same id) got there first — reassertion never revokes.
+  // reassertion of the same id) got there first — reassertion never revokes —
+  // or when the id does not name the fid's shard.
   Status Reassert(const Token& token);
 
   bool HasToken(TokenId id) const;
@@ -172,19 +175,6 @@ class TokenManager {
   // Aggregated across shards.
   Stats stats() const;
 
-  // Resizes the shard table to the smallest power of two covering
-  // `volume_count`, clamped to [1, 64]. Only acts when Options::shards was 0
-  // (autotune armed), only on the first call, and only while the table holds
-  // no tokens — resizing rehashes every volume->shard assignment.
-  // FileServer::ExportAggregate calls it after mounting the aggregate's
-  // volumes, before answering the network; but the pre-traffic window is a
-  // performance expectation, not a safety requirement: the emptiness check,
-  // old-table retirement and new-table publish happen under *all* shard
-  // locks, so a racing Grant/Reassert either minted first (the resize backs
-  // off) or finds its shard retired and re-snapshots the live table.
-  void AutotuneShards(size_t volume_count);
-
-  size_t shard_count() const { return SnapshotTable()->size(); }
   // Distinct volumes with an entry in the conflict index, across shards. Exposed so
   // tests can assert that emptied volumes are pruned rather than accumulating
   // forever across volume churn.
@@ -222,11 +212,6 @@ class TokenManager {
     std::unordered_map<Fid, std::vector<TokenId>, FidHash> by_fid GUARDED_BY(mu);
     std::unordered_map<uint64_t, std::vector<TokenId>> whole_volume GUARDED_BY(mu);
     Stats stats GUARDED_BY(mu);
-    // Set (under mu, with the shard verified empty) by AutotuneShards when it
-    // swaps this shard's table out. A mutator that finds its shard retired
-    // raced the resize while holding a stale snapshot: it must re-snapshot
-    // the live table instead of minting into this discarded one.
-    bool retired GUARDED_BY(mu) = false;
   };
 
   // Scoped guard over Shard::Lock/Unlock, mirroring OrderedLockGuard so the
@@ -252,20 +237,9 @@ class TokenManager {
     Status status = Status::Ok();
   };
 
-  // The shard table is published as an immutable snapshot: accessors copy the
-  // shared_ptr once and index into that copy, so AutotuneShards can swap in a
-  // resized table without invalidating a reader mid-operation. A const vector
-  // of unique_ptrs still yields mutable Shards — only the table shape is
-  // frozen, not the shards.
-  using ShardVec = std::vector<std::unique_ptr<Shard>>;
-
-  std::shared_ptr<const ShardVec> SnapshotTable() const {
-    MutexLock lock(table_mu_);
-    return table_;
-  }
-
-  static std::shared_ptr<ShardVec> MakeTable(size_t n);
-  static Shard& ShardFor(const ShardVec& table, uint64_t volume);
+  static size_t ShardIndex(uint64_t volume);
+  Shard& ShardFor(uint64_t volume) const { return shards_[ShardIndex(volume)]; }
+  Shard& ShardOf(TokenId id) const { return shards_[id % kShards]; }
 
   // Adds a freshly minted or reasserted token to the shard and its index.
   static void InsertTokenLocked(Shard& shard, const Token& token) REQUIRES(shard.mu);
@@ -286,8 +260,6 @@ class TokenManager {
   // Erases `types` from token `id`, pruning the token (and its index
   // entries) once no types remain.
   void EraseTokenTypesLocked(Shard& shard, TokenId id, uint32_t types) REQUIRES(shard.mu);
-  // Reassert body, once Reassert has pinned a live (non-retired) shard.
-  Status ReassertLocked(Shard& shard, const Token& token) REQUIRES(shard.mu);
 
   // One revocation round: issues Revoke for every conflict concurrently (or
   // serially when the fan-out is disabled), merges the results into the
@@ -315,14 +287,15 @@ class TokenManager {
   mutable SharedOrderedMutex host_mu_{LockLevel::kHostRegistry, 1, "token-hosts"};
   std::unordered_map<HostId, TokenHost*> hosts_ GUARDED_BY(host_mu_);
 
+  // The sequence half of the next minted id.
   std::atomic<TokenId> next_id_{1};
 
-  // LOCK-EXEMPT(leaf): guards only the table-pointer read/swap; never held
-  // across a shard lock, a callback, or any other acquisition.
-  mutable Mutex table_mu_;
-  std::shared_ptr<const ShardVec> table_ GUARDED_BY(table_mu_);
-  // Set when Options::shards == 0; the first AutotuneShards call consumes it.
-  std::atomic<bool> autotune_armed_{false};
+  // Tags 1..kShards: a thread only ever holds one shard lock, but distinct
+  // tags keep the hierarchy diagnostics unambiguous. Mutable because the
+  // const accessors lock (and count acquisitions on) the shards too.
+  static_assert(kShards == 8);
+  mutable std::array<Shard, kShards> shards_{Shard(1), Shard(2), Shard(3), Shard(4),
+                                             Shard(5), Shard(6), Shard(7), Shard(8)};
 
   // LOCK-EXEMPT(leaf): guards lazy creation of the fan-out pool only; never
   // held across a Revoke call or any other lock acquisition.

@@ -1531,28 +1531,5 @@ TEST(DatapathTest, ReadSlicesServesZeroCopyOverMemoryStore) {
   EXPECT_GE(reader->stats().bytes_moved, 16u * kBlockSize);
 }
 
-TEST(DatapathTest, RigAutotunesShardCountFromVolumeCount) {
-  // shards = 0 arms autotuning; the rig's single-volume aggregate sizes the
-  // table down to one shard at ExportAggregate time.
-  DfsRig::Options ropts;
-  ropts.server.tokens.shards = 0;
-  auto rig = DfsRig::Create(ropts);
-  ASSERT_NE(rig, nullptr);
-  EXPECT_EQ(rig->server->tokens().shard_count(), 1u);
-
-  // The default (explicit 8) is untouched.
-  auto plain = DfsRig::Create();
-  ASSERT_NE(plain, nullptr);
-  EXPECT_EQ(plain->server->tokens().shard_count(), 8u);
-
-  // The autotuned table serves traffic normally.
-  CacheManager* client = rig->NewClient("alice");
-  ASSERT_OK_AND_ASSIGN(VfsRef vfs, client->MountVolume("home"));
-  ASSERT_OK(WriteFileAt(*vfs, "/t", "autotuned", TestCred()));
-  ASSERT_OK(client->SyncAll());
-  ASSERT_OK_AND_ASSIGN(std::string back, ReadFileAt(*vfs, "/t"));
-  EXPECT_EQ(back, "autotuned");
-}
-
 }  // namespace
 }  // namespace dfs

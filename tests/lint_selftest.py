@@ -54,8 +54,10 @@ def run_lint(mod, root: Path):
     return rc, out.getvalue()
 
 
-# The options-used lint reads the Options header and a user under tests/.
+# The options-used lint reads both Options headers and a user under tests/.
 OPTIONS_USER = ("options_user.cc", "tests/options_user.cc")
+GOOD_CACHE_OPTIONS = ("good_options_used.h", "src/client/cache_manager.h")
+GOOD_TOKEN_OPTIONS = ("good_token_options_used.h", "src/tokens/token_manager.h")
 
 # (lint module, fixtures, expected rc, substring the output must contain).
 # A fixture is a file name (copied under src/client/) or a (file, destination)
@@ -69,11 +71,15 @@ CASES = [
     ("lint_annotation_coverage", "bad_stale_annotation.h", 1, "renamed_away_mu_"),
     ("lint_annotation_coverage", "good_annotated.h", 0, "annotation-coverage lint OK"),
     ("lint_options_used",
-     [("bad_options_unused.h", "src/client/cache_manager.h"), OPTIONS_USER], 1,
+     [("bad_options_unused.h", "src/client/cache_manager.h"), GOOD_TOKEN_OPTIONS,
+      OPTIONS_USER], 1,
      "CacheManager::Options::orphan_knob is set in no file"),
     ("lint_options_used",
-     [("good_options_used.h", "src/client/cache_manager.h"), OPTIONS_USER], 0,
-     "options-used lint OK"),
+     [GOOD_CACHE_OPTIONS, ("bad_token_options_unused.h", "src/tokens/token_manager.h"),
+      OPTIONS_USER], 1,
+     "TokenManager::Options::orphan_token_knob is set in no file"),
+    ("lint_options_used", [GOOD_CACHE_OPTIONS, GOOD_TOKEN_OPTIONS, OPTIONS_USER], 0,
+     "options-used lint OK (2 CacheManager::Options, 2 TokenManager::Options"),
 ]
 
 

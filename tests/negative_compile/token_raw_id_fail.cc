@@ -1,5 +1,5 @@
 // MUST NOT COMPILE: the pre-capability WAL API took a raw TxnId, so any
-// integer — stale, guessed, or from an already-retired transaction — could
+// integer — stale, guessed, or from an already-finished transaction — could
 // drive Commit. The token API must reject a raw id at the call site.
 #include "src/wal/wal.h"
 

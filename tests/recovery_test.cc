@@ -326,9 +326,13 @@ TEST(RecoveryTest, ReassertRacesConcurrentGrant) {
     tm.RegisterHost(1, &survivor);
     tm.RegisterHost(2, &newcomer);
 
-    // The token the survivor held under the previous incarnation.
+    // The token the survivor held under the previous incarnation, with the
+    // id that incarnation minted for this volume.
+    TokenManager previous;
+    ASSERT_OK_AND_ASSIGN(Token minted,
+                         previous.Grant(1, fid, kTokenDataRead, ByteRange::All()));
     Token old_token;
-    old_token.id = 77;
+    old_token.id = minted.id;
     old_token.fid = fid;
     old_token.types = kTokenDataWrite | kTokenStatusWrite;
     old_token.range = ByteRange::All();
@@ -370,8 +374,12 @@ TEST(RecoveryTest, ReassertIsIdempotentAndBindsToHolder) {
   tm.RegisterHost(1, &a);
   tm.RegisterHost(2, &b);
 
+  // An id the previous incarnation minted for this volume.
+  TokenManager previous;
+  ASSERT_OK_AND_ASSIGN(Token minted,
+                       previous.Grant(1, Fid{1, 2, 3}, kTokenDataRead, ByteRange::All()));
   Token t;
-  t.id = 9;
+  t.id = minted.id;
   t.fid = Fid{1, 2, 3};
   t.types = kTokenDataRead | kTokenStatusRead;
   t.range = ByteRange::All();

@@ -94,71 +94,6 @@ TEST(TokenConcurrencyTest, ParallelConflictingGrantsNeverLoseTokens) {
   }
 }
 
-TEST(TokenConcurrencyTest, GrantsRacingAutotuneResizeNeverLoseTokens) {
-  // AutotuneShards holds every shard lock across its emptiness check and the
-  // table swap, and Grant re-snapshots when it finds its shard retired. A
-  // grant racing the resize must therefore never mint into the discarded
-  // table: every token handed to a caller stays visible to HasToken/Return
-  // on the live table. (Before the all-lock swap, a grant could pass the
-  // per-shard empty check, mint into the old table after its lock was
-  // released, and the token became unrevocable.)
-  for (int iter = 0; iter < 25; ++iter) {
-    TokenManager::Options opts;
-    opts.shards = 0;  // armed: 8 shards until AutotuneShards(20) resizes to 32
-    TokenManager mgr(opts);
-    constexpr int kThreads = 4;
-    std::vector<std::unique_ptr<SlowHost>> hosts;
-    for (int i = 0; i < kThreads; ++i) {
-      hosts.push_back(std::make_unique<SlowHost>("h" + std::to_string(i)));
-      mgr.RegisterHost(static_cast<HostId>(i + 1), hosts.back().get());
-    }
-    std::atomic<bool> go{false};
-    std::mutex granted_mu;
-    std::vector<Token> granted;
-    std::atomic<int> grant_errors{0};
-    std::vector<std::thread> granters;
-    for (int h = 0; h < kThreads; ++h) {
-      granters.emplace_back([&, h] {
-        while (!go.load(std::memory_order_acquire)) {
-        }
-        for (uint64_t v = 0; v < 8; ++v) {
-          // Distinct volumes and hosts: no conflicts, so every grant should
-          // succeed without revocation rounds.
-          Fid fid{static_cast<uint64_t>(h) * 8 + v + 1, 2, 3};
-          auto t = mgr.Grant(static_cast<HostId>(h + 1), fid, kTokenDataRead,
-                             ByteRange::All());
-          if (!t.ok()) {
-            grant_errors.fetch_add(1);
-            continue;
-          }
-          std::lock_guard<std::mutex> lock(granted_mu);
-          granted.push_back(*t);
-        }
-      });
-    }
-    std::thread tuner([&] {
-      while (!go.load(std::memory_order_acquire)) {
-      }
-      mgr.AutotuneShards(20);
-    });
-    go.store(true, std::memory_order_release);
-    for (auto& t : granters) {
-      t.join();
-    }
-    tuner.join();
-    EXPECT_EQ(grant_errors.load(), 0);
-    // Whether the resize won (no tokens yet: 32 shards) or backed off (8),
-    // every granted token must live in the table the manager now serves.
-    size_t shards = mgr.shard_count();
-    EXPECT_TRUE(shards == 8 || shards == 32) << shards;
-    for (const Token& t : granted) {
-      EXPECT_TRUE(mgr.HasToken(t.id)) << "token " << t.id << " minted into a "
-                                      << "discarded shard table (iter " << iter << ")";
-      ASSERT_OK(mgr.Return(t.id, t.types));
-    }
-  }
-}
-
 TEST(TokenConcurrencyTest, UnregisterDuringGrantsIsSafe) {
   TokenManager mgr;
   SlowHost stable("stable");

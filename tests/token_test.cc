@@ -50,6 +50,15 @@ class ScriptedHost : public TokenHost {
   std::vector<std::pair<Token, uint32_t>> revoked_;
 };
 
+// The shard that holds `volume`'s tokens, read off an id minted for it on a
+// throwaway manager.
+size_t ShardOfVolume(uint64_t volume) {
+  TokenManager probe;
+  auto t = probe.Grant(1, Fid{volume, 1, 1}, kTokenDataRead, ByteRange::All());
+  EXPECT_TRUE(t.ok());
+  return t.ok() ? t->id % TokenManager::kShards : TokenManager::kShards;
+}
+
 // --- Compatibility relation (Section 5.2 + Figure 3) ---
 
 TEST(TokenCompatTest, DifferentTypesNeverConflict) {
@@ -327,13 +336,17 @@ TEST(TokenManagerTest, EmptiedVolumeIndexEntriesArePruned) {
 
 // The per-file conflict index must find exactly what a scan of every live
 // token finds. Random grants, returns, host teardowns and reassertions over a
-// few fids of two volumes (including whole-volume tokens and plain tokens on
+// few fids of three volumes (including whole-volume tokens and plain tokens on
 // the {volume, 0, 0} fid) are checked against a brute-force reference: each
 // grant's revocations, each reassertion's verdict, and TokensForFid.
 TEST(TokenManagerTest, ConflictIndexMatchesBruteForceScan) {
   constexpr HostId kHosts = 3;
-  const std::vector<Fid> fids = {{1, 0, 0}, {1, 1, 1}, {1, 2, 1}, {1, 3, 1},
-                                 {2, 0, 0}, {2, 1, 1}, {2, 2, 1}};
+  const std::vector<Fid> fids = {{1, 0, 0}, {1, 1, 1}, {1, 2, 1}, {1, 3, 1}, {2, 0, 0},
+                                 {2, 1, 1}, {2, 2, 1}, {9, 0, 0}, {9, 1, 1}};
+  // Volumes 1 and 9 share a shard, so whole-volume scans there must filter
+  // the shard's files by volume; volume 2 lives in a shard of its own.
+  ASSERT_EQ(ShardOfVolume(1), ShardOfVolume(9));
+  ASSERT_NE(ShardOfVolume(1), ShardOfVolume(2));
   const std::vector<uint32_t> types = {
       kTokenDataRead,      kTokenDataWrite,  kTokenDataRead | kTokenStatusRead,
       kTokenStatusRead,    kTokenStatusWrite, kTokenDataWrite | kTokenStatusWrite,
@@ -344,9 +357,7 @@ TEST(TokenManagerTest, ConflictIndexMatchesBruteForceScan) {
 
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
-    TokenManager::Options opts;
-    opts.shards = 1 + rng.Below(3);
-    TokenManager mgr(opts);
+    TokenManager mgr;
     std::vector<std::unique_ptr<ScriptedHost>> hosts;
     for (HostId h = 1; h <= kHosts; ++h) {
       hosts.push_back(std::make_unique<ScriptedHost>("h" + std::to_string(h)));
@@ -457,16 +468,58 @@ TEST(TokenManagerTest, ConflictIndexMatchesBruteForceScan) {
   }
 }
 
-TEST(TokenManagerTest, ShardCountIsConfigurable) {
-  TokenManager::Options opts;
-  opts.shards = 3;
-  TokenManager mgr(opts);
-  EXPECT_EQ(mgr.shard_count(), 3u);
-  // 0 arms autotuning: the table starts at the historical default of 8 and is
-  // resized once from the volume count at export time (AutotuneShards).
-  opts.shards = 0;
-  TokenManager armed(opts);
-  EXPECT_EQ(armed.shard_count(), 8u);
+TEST(TokenManagerTest, ReturnAndHasTokenLockOneShard) {
+  // A token id names its shard, so neither call probes the others.
+  TokenManager mgr;
+  ScriptedHost h1("h1");
+  mgr.RegisterHost(1, &h1);
+  std::vector<Token> granted;
+  for (uint64_t volume = 1; volume <= 16; ++volume) {
+    ASSERT_OK_AND_ASSIGN(Token t, mgr.Grant(1, Fid{volume, 2, 3}, kTokenDataRead,
+                                            ByteRange::All()));
+    granted.push_back(t);
+  }
+  for (const Token& t : granted) {
+    uint64_t before = mgr.stats().lock_acquisitions;
+    EXPECT_TRUE(mgr.HasToken(t.id));
+    uint64_t after_has = mgr.stats().lock_acquisitions;
+    EXPECT_EQ(after_has - before, 1u) << "HasToken on volume " << t.fid.volume;
+    ASSERT_OK(mgr.Return(t.id, t.types));
+    EXPECT_EQ(mgr.stats().lock_acquisitions - after_has, 1u)
+        << "Return on volume " << t.fid.volume;
+  }
+}
+
+TEST(TokenManagerTest, ReassertRejectsAnIdLiveOnAnotherVolume) {
+  // An id live on volume A, reasserted by another host for volume B in a
+  // different shard, would otherwise give two tokens one id.
+  constexpr uint64_t kVolA = 1;
+  constexpr uint64_t kVolB = 2;
+  ASSERT_NE(ShardOfVolume(kVolA), ShardOfVolume(kVolB));
+  TokenManager mgr;
+  ScriptedHost h1("h1");
+  ScriptedHost h2("h2");
+  mgr.RegisterHost(1, &h1);
+  mgr.RegisterHost(2, &h2);
+  ASSERT_OK_AND_ASSIGN(Token a, mgr.Grant(1, Fid{kVolA, 2, 3}, kTokenDataRead,
+                                          ByteRange::All()));
+  Token b;
+  b.id = a.id;
+  b.fid = Fid{kVolB, 2, 3};
+  b.types = kTokenDataWrite;
+  b.range = ByteRange::All();
+  b.host = 2;
+  EXPECT_EQ(mgr.Reassert(b).code(), ErrorCode::kConflict);
+  EXPECT_EQ(mgr.stats().reassert_conflicts, 1u);
+  EXPECT_TRUE(mgr.TokensForFid(b.fid).empty());
+
+  // Returning B's types leaves A's token whole.
+  ASSERT_OK(mgr.Return(b.id, b.types));
+  std::vector<Token> held = mgr.TokensForFid(a.fid);
+  ASSERT_EQ(held.size(), 1u);
+  EXPECT_EQ(held[0].id, a.id);
+  EXPECT_EQ(held[0].types, a.types);
+  EXPECT_TRUE(mgr.HasToken(a.id));
 }
 
 TEST(TokenManagerTest, LeaseFastPathGrantsWithoutRevocationCallbacks) {
@@ -511,64 +564,6 @@ TEST(TokenManagerTest, LeaseFastPathRequiresAllConflictsExpired) {
   TokenManager::Stats stats = mgr.stats();
   EXPECT_EQ(stats.lease_fast_path_grants, 0u);
   EXPECT_EQ(stats.lease_expired_drops, 1u);
-}
-
-TEST(TokenManagerTest, AutotuneShardsResizesOncePreTraffic) {
-  TokenManager::Options opts;
-  opts.shards = 0;  // armed
-  TokenManager mgr(opts);
-  EXPECT_EQ(mgr.shard_count(), 8u);
-  mgr.AutotuneShards(20);
-  EXPECT_EQ(mgr.shard_count(), 32u) << "smallest power of two covering 20 volumes";
-  mgr.AutotuneShards(5);  // first caller won; later aggregates change nothing
-  EXPECT_EQ(mgr.shard_count(), 32u);
-
-  // The resized table is fully functional.
-  ScriptedHost h1("h1");
-  mgr.RegisterHost(1, &h1);
-  auto t = mgr.Grant(1, kFileA, kTokenDataRead, ByteRange::All());
-  ASSERT_OK(t.status());
-  EXPECT_TRUE(mgr.HasToken(t->id));
-  ASSERT_OK(mgr.Return(t->id, t->types));
-}
-
-TEST(TokenManagerTest, AutotuneShardsClampsAndRefusesWhenNotEmpty) {
-  {
-    TokenManager::Options opts;
-    opts.shards = 0;
-    TokenManager mgr(opts);
-    mgr.AutotuneShards(1000);
-    EXPECT_EQ(mgr.shard_count(), 64u) << "clamped to 64 shards";
-  }
-  {
-    TokenManager::Options opts;
-    opts.shards = 0;
-    TokenManager mgr(opts);
-    mgr.AutotuneShards(1);
-    EXPECT_EQ(mgr.shard_count(), 1u);
-  }
-  {
-    // Explicit shard counts never arm autotuning.
-    TokenManager::Options opts;
-    opts.shards = 4;
-    TokenManager mgr(opts);
-    mgr.AutotuneShards(20);
-    EXPECT_EQ(mgr.shard_count(), 4u);
-  }
-  {
-    // Traffic beat the export: resizing would rehash live volume->shard
-    // assignments, so the table stays put and the token survives.
-    TokenManager::Options opts;
-    opts.shards = 0;
-    TokenManager mgr(opts);
-    ScriptedHost h1("h1");
-    mgr.RegisterHost(1, &h1);
-    auto t = mgr.Grant(1, kFileA, kTokenDataRead, ByteRange::All());
-    ASSERT_OK(t.status());
-    mgr.AutotuneShards(20);
-    EXPECT_EQ(mgr.shard_count(), 8u);
-    EXPECT_TRUE(mgr.HasToken(t->id));
-  }
 }
 
 TEST(TokenTest, SerializationRoundTrip) {
