@@ -3,12 +3,17 @@
 // grant/release, and client cached reads.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "src/common/codec.h"
 #include "src/episode/aggregate.h"
 #include "src/tokens/token_manager.h"
 #include "src/vfs/path.h"
 #include "src/vfs/wire.h"
 #include "src/wal/wal.h"
+#include "tests/dfs_rig.h"
 
 namespace dfs {
 namespace {
@@ -186,6 +191,80 @@ void BM_VolumeClone(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VolumeClone);
+
+// Threaded cached reads through one client: 4 files of 16 blocks, all
+// cached, and thread t reads 4 KiB blocks of file t, so the threads share
+// only the client (its registry, LRU and store), never a file. Arg 0 is the
+// default disk store, arg 1 the diskless memory store. Thread 0 builds the
+// rig before the timed loop (google-benchmark starts every thread's loop
+// together) and tears it down after it (every loop has ended by then).
+constexpr int kCachedReadFiles = 4;
+constexpr uint64_t kCachedReadBlocks = 16;
+
+struct CachedReadRig {
+  std::unique_ptr<DfsRig> rig;
+  VfsRef vfs;
+  std::vector<VnodeRef> files;
+};
+CachedReadRig* cached_read_rig = nullptr;
+
+std::unique_ptr<CachedReadRig> MakeCachedReadRig(bool diskless) {
+  auto r = std::make_unique<CachedReadRig>();
+  r->rig = DfsRig::Create();
+  CacheManager::Options opts;
+  opts.diskless = diskless;
+  CacheManager* client = r->rig->NewClient("alice", opts);
+  r->vfs = *client->MountVolume("home");
+  Cred cred{100, {100}};
+  std::string contents(kCachedReadBlocks * kBlockSize, 'r');
+  for (int f = 0; f < kCachedReadFiles; ++f) {
+    std::string path = "/cached" + std::to_string(f);
+    (void)WriteFileAt(*r->vfs, path, contents, cred);
+    r->files.push_back(*ResolvePath(*r->vfs, path));
+  }
+  (void)client->SyncAll();
+  std::vector<uint8_t> buf(kBlockSize);
+  for (const VnodeRef& file : r->files) {
+    for (uint64_t b = 0; b < kCachedReadBlocks; ++b) {
+      (void)file->Read(b * kBlockSize, buf);  // warm: tokens held, blocks cached
+    }
+  }
+  return r;
+}
+
+void BM_CachedRead(benchmark::State& state) {
+  std::unique_ptr<CachedReadRig> owned;
+  if (state.thread_index() == 0) {
+    owned = MakeCachedReadRig(state.range(0) != 0);
+    cached_read_rig = owned.get();
+  }
+  std::vector<uint8_t> buf(kBlockSize);
+  uint64_t i = 0;
+  for (auto _ : state) {
+    Vnode& file = *cached_read_rig->files[state.thread_index() % kCachedReadFiles];
+    auto n = file.Read((i++ % kCachedReadBlocks) * kBlockSize, buf);
+    if (!n.ok()) {
+      state.SkipWithError(n.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(*n);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kBlockSize);
+  if (state.thread_index() == 0) {
+    cached_read_rig = nullptr;
+  }
+}
+BENCHMARK(BM_CachedRead)
+    ->ArgName("diskless")
+    ->Arg(0)
+    ->Arg(1)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace dfs

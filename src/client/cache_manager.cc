@@ -145,27 +145,34 @@ CacheManager::CacheManager(Network& network, std::vector<NodeId> vldb_nodes, Tic
       vldb_(network, options.node, std::move(vldb_nodes)),
       ticket_(std::move(ticket)),
       options_(options) {
+  // A caller-owned disk outlives this client, so its store logs its index
+  // and journals tokens; otherwise a non-diskless client caches on a private
+  // disk that dies with it. An open failure (undersized or corrupt medium)
+  // falls through to the next choice: the client runs, just not persistently.
   if (options_.persistent_cache_disk != nullptr) {
-    auto pstore = PersistentCacheStore::Open(options_.persistent_cache_disk, {});
+    auto pstore = PersistentCacheStore::Open(options_.persistent_cache_disk);
     if (pstore.ok()) {
       persist_ = pstore->get();
+      disk_store_ = persist_;
       store_ = std::move(*pstore);
     }
-    // Open failure (undersized or corrupt medium) falls through to the
-    // in-memory paths below: the client runs, just not persistently.
   }
-  if (store_ == nullptr) {
-    if (options_.diskless) {
-      store_ = std::make_unique<MemoryCacheStore>();
-    } else {
-      auto disk_store = DiskCacheStore::Create(options_.cache_disk_blocks);
-      store_ = disk_store.ok() ? std::unique_ptr<CacheStore>(std::move(*disk_store))
-                               : std::make_unique<MemoryCacheStore>();
+  if (store_ == nullptr && !options_.diskless) {
+    auto pstore = PersistentCacheStore::CreatePrivate(options_.cache_disk_blocks);
+    if (pstore.ok()) {
+      disk_store_ = pstore->get();
+      store_ = std::move(*pstore);
     }
   }
+  if (store_ == nullptr) {
+    store_ = std::make_unique<MemoryCacheStore>();
+  }
+  cache_blocks_ = disk_store_ == nullptr
+                      ? options_.max_cached_blocks
+                      : std::min<uint64_t>(options_.max_cached_blocks, disk_store_->data_slots());
   prefetcher_ = std::make_unique<Prefetcher>(Prefetcher::Options{
       options_.prefetch_threads, options_.readahead_min_blocks, options_.readahead_max_blocks,
-      options_.max_cached_blocks});
+      cache_blocks_});
   (void)network_.RegisterNode(options_.node, this, options_.rpc);
   if (options_.keepalive_interval_ms > 0) {
     keepalive_ = std::thread([this] { KeepAliveLoop(); });
@@ -657,7 +664,7 @@ Status CacheManager::StoreDirtyRangeLocked(CVnode& cv, const ByteRange& range,
     if (cv.dirty_blocks.empty()) {
       cv.attr_dirty = false;  // the server has everything; its attr rules again
     }
-    PersistMarkCleanLocked(cv, first, last, sync);
+    StoreMarkCleanLocked(cv, first, last, sync);
     MergeSyncLocked(cv, sync);
     JournalAttrLocked(cv);
     MutexLock lock(mu_);
@@ -788,15 +795,15 @@ Status CacheManager::ReturnToken(const Fid& fid, TokenId id, uint32_t types) {
   return CallVolume(fid.volume, kReturnToken, w, &fid, /*allow_recovery=*/false).status();
 }
 
-// --- Persistent cache hooks ---
+// --- Disk store and persistent cache hooks ---
 
 Status CacheManager::StorePutLocked(CVnode& cv, uint64_t block, BufferSlice data, bool dirty) {
-  if (persist_ == nullptr) {
+  if (disk_store_ == nullptr) {
     return store_->PutSlice(cv.fid, block, std::move(data));
   }
   uint64_t dv = cv.attr_valid ? cv.attr.data_version : 0;
   uint64_t size = cv.attr_valid ? cv.attr.size : 0;
-  Status s = persist_->PutBlock(cv.fid, block, data.span(), dirty, cv.stamp, dv, size);
+  Status s = disk_store_->PutBlock(cv.fid, block, data.span(), dirty, cv.stamp, dv, size);
   if (s.ok()) {
     // Keep the persisted attribute snapshot in step with the blocks it
     // vouches for (deduplicated by stamp, so steady-state stores are free).
@@ -805,15 +812,15 @@ Status CacheManager::StorePutLocked(CVnode& cv, uint64_t block, BufferSlice data
   return s;
 }
 
-void CacheManager::PersistMarkCleanLocked(CVnode& cv, uint64_t first, uint64_t last,
-                                          const SyncInfo& sync) {
-  if (persist_ == nullptr) {
+void CacheManager::StoreMarkCleanLocked(CVnode& cv, uint64_t first, uint64_t last,
+                                        const SyncInfo& sync) {
+  if (disk_store_ == nullptr) {
     return;
   }
   // The store reply's attributes describe the file *after* our write landed:
   // that is the version the (now clean) on-disk bytes belong to.
   for (uint64_t b = first; b <= last; ++b) {
-    (void)persist_->MarkClean(cv.fid, b, sync.stamp, sync.attr.data_version, sync.attr.size);
+    (void)disk_store_->MarkClean(cv.fid, b, sync.stamp, sync.attr.data_version, sync.attr.size);
   }
 }
 
@@ -1073,7 +1080,7 @@ void CacheManager::RemoveLru(const Fid& fid, uint64_t block) {
 
 void CacheManager::MaybeEvict() {
   size_t size = lru_size_.load(std::memory_order_relaxed);
-  if (size <= options_.max_cached_blocks) {
+  if (size <= cache_blocks_) {
     return;
   }
   size_t budget = 2 * size + 16;  // bound: a fully dirty cache cannot spin us
@@ -1081,7 +1088,7 @@ void CacheManager::MaybeEvict() {
     LruKey victim;
     {
       MutexLock lock(mu_);
-      if (lru_.size() <= options_.max_cached_blocks) {
+      if (lru_.size() <= cache_blocks_) {
         return;
       }
       victim = lru_.front();
@@ -1783,7 +1790,7 @@ Status CacheManager::FsyncHighLocked(CVnode& cv, bool force_log) {
               if (cv.dirty_blocks.empty()) {
                 cv.attr_dirty = false;  // the server has everything; its attr rules again
               }
-              PersistMarkCleanLocked(cv, first, end - 1, sync);
+              StoreMarkCleanLocked(cv, first, end - 1, sync);
               MergeSyncLocked(cv, sync);
               JournalAttrLocked(cv);
               return Status::Ok();

@@ -90,13 +90,16 @@ class CacheManager : public RpcHandler {
   struct Options {
     NodeId node = 0;
     bool diskless = false;            // memory data cache instead of disk
+    // Size of the private cache disk a non-diskless client gets when
+    // persistent_cache_disk is null (4096 blocks hold 3,936 data slots).
     uint64_t cache_disk_blocks = 4096;
     // Data tokens cover exactly the accessed (block-aligned) byte range when
     // false; whole files when true (the AFS-style degradation for E6).
     bool whole_file_data_tokens = false;
     // Capacity of the data cache in 4 KiB blocks; clean blocks are evicted
     // LRU when exceeded (dirty blocks are never evicted — they must be
-    // stored back first, which revocations and fsync do).
+    // stored back first, which revocations and fsync do). A disk store caps
+    // it at its slot count.
     uint64_t max_cached_blocks = 1 << 20;
     // On a detected sequential read, fetch this many extra blocks (and the
     // matching token range) ahead of the requested data. 0 disables. Only
@@ -109,8 +112,8 @@ class CacheManager : public RpcHandler {
     // critical path: Read fetches only the asked-for range and sends
     // doubling readahead windows ahead of it from its own thread, and this
     // many pool threads wait for the replies and install them. How far ahead
-    // the windows run is bounded by the cache (a quarter of
-    // max_cached_blocks, between 2 and kMaxInflightChunks max windows, and
+    // the windows run is bounded by the cache (a quarter of the LRU
+    // bound, between 2 and kMaxInflightChunks max windows, and
     // never more than half of it; no window exceeds half that lead), not by
     // this width; a read that misses inside a window still in flight waits
     // for it. Split transfers pipeline from the caller's thread whatever the
@@ -144,7 +147,8 @@ class CacheManager : public RpcHandler {
     // data cache and the token state with it, so both survive a client crash.
     // Caller-owned and must outlive the CacheManager: a rebooted client hands
     // the *same* SimDisk to its successor, which is what makes Recover() find
-    // a warm cache. Null (the default) keeps the memory/scratch-disk stores.
+    // a warm cache. Null (the default): a diskless client caches in memory,
+    // any other on a private disk of cache_disk_blocks that dies with it.
     SimDisk* persistent_cache_disk = nullptr;
     // Piggybacked journal maintenance: a keep-alive pass that finds at least
     // this many raw appends since the last compaction checkpoints the token
@@ -250,12 +254,16 @@ class CacheManager : public RpcHandler {
   }
 
   Stats stats() const;
+  // Evicts clean LRU blocks down to the capacity. Must be called with *no*
+  // cvnode locks held: eviction locks victims' low locks one at a time.
+  void MaybeEvict();
   // Data RPCs of the file still awaiting their reply (test accessor).
   int RpcsInFlight(const Fid& fid);
   NodeId node() const { return options_.node; }
   VldbClient& vldb() { return vldb_; }
-  // The persistent store, when one backs this client (crash injection and
-  // layout inspection in tests); null otherwise.
+  // The persistent store, when a caller-owned disk backs this client (crash
+  // injection and layout inspection in tests); null for a private disk or
+  // the memory store.
   PersistentCacheStore* persistent_store() { return persist_; }
 
  private:
@@ -551,19 +559,21 @@ class CacheManager : public RpcHandler {
 
   Status ReturnToken(const Fid& fid, TokenId id, uint32_t types);
 
-  // Every cache put goes through here. With a persistent store the block is
-  // written with full version metadata: clean and dirty blocks alike carry
-  // the cvnode's stamp and data_version — for clean blocks the version the
-  // bytes belong to, for dirty blocks the *base* version they were written
-  // against, so Recover() resumes a pre-crash push only if the server has not
-  // moved past it.
+  // Every cache put goes through here. A disk store gets the block with its
+  // dirty flag, so its clean-victim choice never drops dirty data, and with
+  // full version metadata: clean and dirty blocks alike carry the cvnode's
+  // stamp and data_version — for clean blocks the version the bytes belong
+  // to, for dirty blocks the *base* version they were written against, so
+  // Recover() resumes a pre-crash push only if the server has not moved past
+  // it.
   Status StorePutLocked(CVnode& cv, uint64_t block, BufferSlice data, bool dirty)
+      REQUIRES(cv.low);
+  // Records in the disk store that blocks [first, last] reached the server
+  // (store-back done). A no-op for the memory store.
+  void StoreMarkCleanLocked(CVnode& cv, uint64_t first, uint64_t last, const SyncInfo& sync)
       REQUIRES(cv.low);
 
   // --- persistent cache hooks (all no-ops when persist_ == nullptr) ---
-  // Records that blocks [first, last] reached the server (store-back done).
-  void PersistMarkCleanLocked(CVnode& cv, uint64_t first, uint64_t last, const SyncInfo& sync)
-      REQUIRES(cv.low);
   // Truncate-awareness: clamps the persisted file_size of every surviving
   // entry of cv's file to `new_size`, so a warm reboot cannot re-extend the
   // file from a size recorded before the truncate.
@@ -585,9 +595,6 @@ class CacheManager : public RpcHandler {
   // mu_ is a leaf below it).
   void TouchLru(const Fid& fid, uint64_t block);
   void RemoveLru(const Fid& fid, uint64_t block);
-  // Evicts clean LRU blocks down to the capacity. Must be called with *no*
-  // cvnode locks held: eviction locks victims' low locks one at a time.
-  void MaybeEvict();
 
   Network& network_;
   // GUARD-EXEMPT: wired at construction and immutable afterwards; VldbClient
@@ -600,10 +607,18 @@ class CacheManager : public RpcHandler {
   // GUARD-EXEMPT: pointer set at construction and never reseated; the
   // pointee is internally synchronized (each store carries its own mutex).
   std::unique_ptr<CacheStore> store_;
-  // Non-owning view of store_ when it is a PersistentCacheStore; null for the
-  // memory/scratch-disk stores (every persist hook checks this).
+  // Non-owning view of store_ when it is a PersistentCacheStore (a private or
+  // a caller-owned disk); null for the memory store.
+  // GUARD-EXEMPT: alias of store_ fixed at construction, never reseated.
+  PersistentCacheStore* disk_store_ = nullptr;
+  // disk_store_ when its disk is caller-owned and so outlives this client;
+  // null otherwise (every persist hook checks this).
   // GUARD-EXEMPT: alias of store_ fixed at construction, never reseated.
   PersistentCacheStore* persist_ = nullptr;
+  // The LRU bound: max_cached_blocks, capped at a disk store's slot count so
+  // that the manager evicts, not the store.
+  // GUARD-EXEMPT: computed once in the constructor, immutable afterwards.
+  uint64_t cache_blocks_ = 0;
   // Background-readahead window state machine + the data-path thread pool
   // (always constructed; enabled() is false when prefetch_threads == 0).
   // GUARD-EXEMPT: pointer set at construction and never reseated; the

@@ -14,6 +14,28 @@ uint64_t BlockEnd(uint64_t offset, size_t len) {
   return (offset + len + kBlockSize - 1) / kBlockSize;
 }
 
+// A data operation pays the cache pressure left behind before it starts. One
+// that fetched into a disk store also pays its own once its cvnode locks are
+// released, or a full slot store recycles slots the manager still lists. (On
+// the memory store, evicting at the end of a streaming read makes it wait on
+// a victim's lock behind a readahead install.)
+class EvictOnExit {
+ public:
+  explicit EvictOnExit(CacheManager& cm) : cm_(cm) {}
+  ~EvictOnExit() {
+    if (armed) {
+      cm_.MaybeEvict();
+    }
+  }
+  EvictOnExit(const EvictOnExit&) = delete;
+  EvictOnExit& operator=(const EvictOnExit&) = delete;
+
+  bool armed = false;
+
+ private:
+  CacheManager& cm_;
+};
+
 }  // namespace
 
 // --- DfsVfs ---
@@ -146,6 +168,7 @@ Result<size_t> DfsVnode::Read(uint64_t offset, std::span<uint8_t> out) {
 Result<std::vector<BufferSlice>> DfsVnode::ReadSlices(uint64_t offset, size_t len) {
   auto cv = cm_->GetCVnode(fid_);
   cm_->MaybeEvict();  // before any cvnode lock: eviction locks victims itself
+  EvictOnExit evict(*cm_);
   OrderedLockGuard high(cv->high);
 
   // Serves the range from the cache when the tokens and every block are
@@ -247,6 +270,7 @@ Result<std::vector<BufferSlice>> DfsVnode::ReadSlices(uint64_t offset, size_t le
   // completes under it even when conflicting writers are hammering the file.
   Result<std::vector<BufferSlice>> applied =
       Status(ErrorCode::kConflict, "read raced with revocations");
+  evict.armed = cm_->disk_store_ != nullptr;
   for (int attempt = 0; attempt < 8 && !applied.ok(); ++attempt) {
     // A retry asks for a fresh data-read grant rather than matching held
     // tokens: the matched token of a lost attempt was revoked mid-flight, and
@@ -274,6 +298,7 @@ Result<std::vector<BufferSlice>> DfsVnode::ReadSlices(uint64_t offset, size_t le
 Result<size_t> DfsVnode::Write(uint64_t offset, std::span<const uint8_t> data) {
   auto cv = cm_->GetCVnode(fid_);
   cm_->MaybeEvict();  // before any cvnode lock: eviction locks victims itself
+  EvictOnExit evict(*cm_);
   OrderedLockGuard high(cv->high);
   ByteRange want{BlockOf(offset) * kBlockSize, BlockEnd(offset, data.size()) * kBlockSize};
 
@@ -376,6 +401,7 @@ Result<size_t> DfsVnode::Write(uint64_t offset, std::span<const uint8_t> data) {
   // of any queued revocations (Section 6.3): the grant was serialized before
   // them at the server, so the write legitimately lands in between.
   Result<size_t> applied = Status(ErrorCode::kConflict, "write raced with revocations");
+  evict.armed = cm_->disk_store_ != nullptr;
   for (int attempt = 0; attempt < 8 && !applied.ok(); ++attempt) {
     // Only a first attempt may go token-only. The choice races with
     // revocations: one that lands mid-fetch can drop the cached edge blocks

@@ -13,6 +13,8 @@ constexpr uint64_t kJournalMagic = 0xDEC0'CACE'10C0'0002ull;
 constexpr uint32_t kRecordMagic = 0xCAC8'E10Cu;
 constexpr uint32_t kEntryBytes = 64;
 constexpr uint32_t kEntriesPerBlock = kBlockSize / kEntryBytes;
+constexpr uint64_t kWalBlocks = 64;      // index WAL area (incl. 1 header block)
+constexpr uint64_t kJournalBlocks = 33;  // 1 header + two halves
 
 constexpr uint32_t kEntryValid = 1u << 0;
 constexpr uint32_t kEntryDirty = 1u << 1;
@@ -70,25 +72,17 @@ void CrashableDevice::CrashAfterWrites(uint64_t n) {
 
 // --- PersistentCacheStore ---
 
-Result<std::unique_ptr<PersistentCacheStore>> PersistentCacheStore::Open(SimDisk* disk,
-                                                                         Options options) {
-  if (disk == nullptr) {
-    return Status(ErrorCode::kInvalidArgument, "persistent cache needs a disk");
-  }
-  if (options.wal_blocks < 4 || options.journal_blocks < 3) {
-    return Status(ErrorCode::kInvalidArgument, "wal/journal area too small");
-  }
+Result<std::unique_ptr<PersistentCacheStore>> PersistentCacheStore::Layout(SimDisk& disk) {
   auto store = std::unique_ptr<PersistentCacheStore>(new PersistentCacheStore());
-  store->disk_ = disk;
-  store->crash_dev_ = std::make_unique<CrashableDevice>(*disk);
+  store->crash_dev_ = std::make_unique<CrashableDevice>(disk);
 
   // Geometry: superblock, WAL, index (1 entry per slot), journal, data slots.
-  const uint64_t n = disk->BlockCount();
+  const uint64_t n = disk.BlockCount();
   Geometry& g = store->geo_;
   g.wal_start = 1;
-  g.wal_blocks = options.wal_blocks;
+  g.wal_blocks = kWalBlocks;
   g.index_start = g.wal_start + g.wal_blocks;
-  g.journal_half_blocks = (options.journal_blocks - 1) / 2;
+  g.journal_half_blocks = (kJournalBlocks - 1) / 2;
   const uint64_t journal_blocks = 1 + 2 * g.journal_half_blocks;
   const uint64_t overhead = 1 + g.wal_blocks + journal_blocks;
   if (n < overhead + 1 + kEntriesPerBlock) {
@@ -104,10 +98,27 @@ Result<std::unique_ptr<PersistentCacheStore>> PersistentCacheStore::Open(SimDisk
   g.index_blocks = (slots + kEntriesPerBlock - 1) / kEntriesPerBlock;
   g.journal_start = g.index_start + g.index_blocks;
   g.data_start = g.journal_start + journal_blocks;
+  return store;
+}
 
+Result<std::unique_ptr<PersistentCacheStore>> PersistentCacheStore::Open(SimDisk* disk) {
+  if (disk == nullptr) {
+    return Status(ErrorCode::kInvalidArgument, "persistent cache needs a disk");
+  }
+  ASSIGN_OR_RETURN(std::unique_ptr<PersistentCacheStore> store, Layout(*disk));
   store->cache_ =
-      std::make_unique<BufferCache>(*store->crash_dev_, g.index_blocks + 8);
+      std::make_unique<BufferCache>(*store->crash_dev_, store->geo_.index_blocks + 8);
   RETURN_IF_ERROR(store->Boot());
+  return store;
+}
+
+Result<std::unique_ptr<PersistentCacheStore>> PersistentCacheStore::CreatePrivate(
+    uint64_t disk_blocks) {
+  auto disk = std::make_unique<SimDisk>(disk_blocks);
+  ASSIGN_OR_RETURN(std::unique_ptr<PersistentCacheStore> store, Layout(*disk));
+  store->private_disk_ = std::move(disk);
+  MutexLock lock(store->mu_);
+  store->slots_.assign(store->geo_.data_slots, SlotState{});
   return store;
 }
 
@@ -196,10 +207,7 @@ Status PersistentCacheStore::RecoverLocked() {
 
   // Index scan: rebuild the in-memory mirror and the per-file recovery view.
   slots_.assign(geo_.data_slots, SlotState{});
-  std::map<Fid, size_t, bool (*)(const Fid&, const Fid&)> file_ix(
-      [](const Fid& a, const Fid& b) {
-        return std::tie(a.volume, a.vnode, a.uniq) < std::tie(b.volume, b.vnode, b.uniq);
-      });
+  std::map<Fid, size_t> file_ix;
   for (uint64_t slot = 0; slot < geo_.data_slots; ++slot) {
     ASSIGN_OR_RETURN(BufferCache::Ref ref, cache_->Get(geo_.index_start + slot / kEntriesPerBlock));
     const uint8_t* e = ref.data() + (slot % kEntriesPerBlock) * kEntryBytes;
@@ -326,6 +334,9 @@ Status PersistentCacheStore::ReplayJournalLocked() {
 }
 
 Status PersistentCacheStore::WriteEntryLocked(uint64_t slot, const SlotState& state) {
+  if (!durable()) {
+    return Status::Ok();
+  }
   Writer w(kEntryBytes);
   w.PutU64(state.fid.volume);
   w.PutU64(state.fid.vnode);
@@ -369,8 +380,6 @@ Status PersistentCacheStore::InvalidateSlotLocked(uint64_t slot) {
   return Status::Ok();
 }
 
-Status PersistentCacheStore::EraseSlotLocked(uint64_t slot) { return InvalidateSlotLocked(slot); }
-
 Result<uint64_t> PersistentCacheStore::PickSlotLocked(const Key& key) {
   auto it = by_key_.find(key);
   if (it != by_key_.end()) {
@@ -402,9 +411,6 @@ Status PersistentCacheStore::PutBlock(const Fid& fid, uint64_t block,
     return Status(ErrorCode::kInvalidArgument, "block larger than slot");
   }
   MutexLock lock(mu_);
-  if (wal_ == nullptr) {
-    return Status(ErrorCode::kCrashed, "store not open");
-  }
   ASSIGN_OR_RETURN(uint64_t slot, PickSlotLocked({fid, block}));
   if (slots_[slot].valid) {
     // The slot currently describes durable bytes (this key's previous version
@@ -434,9 +440,6 @@ Status PersistentCacheStore::PutBlock(const Fid& fid, uint64_t block,
 Status PersistentCacheStore::MarkClean(const Fid& fid, uint64_t block, uint64_t stamp,
                                        uint64_t data_version, uint64_t file_size) {
   MutexLock lock(mu_);
-  if (wal_ == nullptr) {
-    return Status(ErrorCode::kCrashed, "store not open");
-  }
   auto it = by_key_.find({fid, block});
   if (it == by_key_.end()) {
     return Status(ErrorCode::kNotFound, "block not in cache");
@@ -453,9 +456,6 @@ Status PersistentCacheStore::MarkClean(const Fid& fid, uint64_t block, uint64_t 
 
 Status PersistentCacheStore::ClampFileSizes(const Fid& fid, uint64_t new_size) {
   MutexLock lock(mu_);
-  if (wal_ == nullptr) {
-    return Status(ErrorCode::kCrashed, "store not open");
-  }
   Status result = Status::Ok();
   for (auto it = by_key_.lower_bound({fid, 0});
        it != by_key_.end() && it->first.first == fid; ++it) {
@@ -495,27 +495,21 @@ Result<BufferSlice> PersistentCacheStore::GetSlice(const Fid& fid, uint64_t bloc
 
 void PersistentCacheStore::Erase(const Fid& fid, uint64_t block) {
   MutexLock lock(mu_);
-  if (wal_ == nullptr) {
-    return;
-  }
   auto it = by_key_.find({fid, block});
   if (it != by_key_.end()) {
-    (void)EraseSlotLocked(it->second);
+    (void)InvalidateSlotLocked(it->second);
   }
 }
 
 void PersistentCacheStore::EraseFile(const Fid& fid) {
   MutexLock lock(mu_);
-  if (wal_ == nullptr) {
-    return;
-  }
   std::vector<uint64_t> victims;
   for (auto it = by_key_.lower_bound({fid, 0});
        it != by_key_.end() && it->first.first == fid; ++it) {
     victims.push_back(it->second);
   }
   for (uint64_t slot : victims) {
-    (void)EraseSlotLocked(slot);
+    (void)InvalidateSlotLocked(slot);
   }
 }
 
@@ -581,8 +575,8 @@ Status PersistentCacheStore::AppendJournalLocked(const JournalRecord& rec) {
 
 Status PersistentCacheStore::Journal(JournalOp op, const Token& token, uint64_t epoch) {
   MutexLock lock(mu_);
-  if (wal_ == nullptr) {
-    return Status(ErrorCode::kCrashed, "store not open");
+  if (!durable()) {
+    return Status::Ok();
   }
   JournalRecord rec;
   rec.op = op;
@@ -594,8 +588,8 @@ Status PersistentCacheStore::Journal(JournalOp op, const Token& token, uint64_t 
 Status PersistentCacheStore::JournalAttr(const Fid& fid, uint64_t stamp, const FileAttr& attr,
                                          uint64_t epoch) {
   MutexLock lock(mu_);
-  if (wal_ == nullptr) {
-    return Status(ErrorCode::kCrashed, "store not open");
+  if (!durable()) {
+    return Status::Ok();
   }
   JournalRecord rec;
   rec.op = JournalOp::kAttr;
@@ -671,16 +665,16 @@ Status PersistentCacheStore::CompactJournalLocked(const std::vector<JournalRecor
 
 Status PersistentCacheStore::CheckpointJournal(const std::vector<JournalRecord>& live) {
   MutexLock lock(mu_);
-  if (wal_ == nullptr) {
-    return Status(ErrorCode::kCrashed, "store not open");
+  if (!durable()) {
+    return Status::Ok();
   }
   return CompactJournalLocked(live);
 }
 
 Status PersistentCacheStore::SelfCheckpoint() {
   MutexLock lock(mu_);
-  if (wal_ == nullptr) {
-    return Status(ErrorCode::kCrashed, "store not open");
+  if (!durable()) {
+    return Status::Ok();
   }
   return CompactJournalLocked(LiveJournalLocked());
 }
@@ -692,8 +686,8 @@ uint64_t PersistentCacheStore::journal_appends_since_checkpoint() const {
 
 Status PersistentCacheStore::Sync() {
   MutexLock lock(mu_);
-  if (wal_ == nullptr) {
-    return Status(ErrorCode::kCrashed, "store not open");
+  if (!durable()) {
+    return Status::Ok();
   }
   RETURN_IF_ERROR(wal_->Sync());
   return cache_->FlushAll();
@@ -701,7 +695,9 @@ Status PersistentCacheStore::Sync() {
 
 void PersistentCacheStore::CrashNow() {
   crash_dev_->CrashNow();
-  cache_->Crash();
+  if (cache_ != nullptr) {
+    cache_->Crash();
+  }
 }
 
 }  // namespace dfs

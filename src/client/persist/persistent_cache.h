@@ -1,9 +1,11 @@
-// Disk-backed client cache with a token journal (warm-reboot reassertion).
-//
-// AFS clients survive reboots with a warm cache because the cache lives in
-// the node's local file system; DEcorum's diskless MemoryCacheStore loses
-// everything. This store backs the client cache with a caller-owned SimDisk
-// so both the data blocks and the token state survive a client crash:
+// The client's disk cache: 4 KiB slots on a SimDisk (MemoryCacheStore is
+// the diskless option). Who owns the disk decides what outlives the client:
+//   - Open(disk): a caller-owned SimDisk. Data blocks and token state survive
+//     a client crash; a rebooted client reopens the same disk (warm reboot).
+//   - CreatePrivate(blocks): the store owns the disk, which dies with its
+//     client, so nothing on it is ever recovered: the index lives only in
+//     memory, with no WAL commit, no journal append and no format write.
+//     Geometry and slot code are the same; only the data slots are written.
 //
 //   block 0        superblock (geometry, magic)
 //   [wal]          write-ahead log for index metadata (reuses src/wal)
@@ -20,7 +22,8 @@
 //   [data]         one 4 KiB slot per cached block, written directly to the
 //                  device (user data is not logged, as in Episode).
 //
-// Write-ordering discipline (each rule closes a crash window):
+// Write-ordering discipline on a caller-owned disk (each rule closes a crash
+// window):
 //   - A put into a slot that is currently valid first *durably* invalidates
 //     the index entry (WAL commit + sync), then writes the data, then commits
 //     the new entry. A crash between any two steps loses at most that one
@@ -35,6 +38,10 @@
 //     either rejects (conflict) or re-installs — and re-installed tokens are
 //     revalidated against the file's data_version before cached data is
 //     trusted (see CacheManager::Recover()).
+//
+// In both modes every put says whether the block is dirty and MarkClean
+// records a store-back, so the clean-victim choice of a full store never
+// drops a dirty block.
 //
 // Crash injection: CrashAfterWrites(n) lets the next n device writes succeed
 // and then fails every subsequent I/O without touching the medium — the
@@ -83,11 +90,6 @@ class CrashableDevice : public BlockDevice {
 
 class PersistentCacheStore : public CacheStore {
  public:
-  struct Options {
-    uint64_t wal_blocks = 64;      // index WAL area (incl. 1 header block)
-    uint64_t journal_blocks = 33;  // 1 header + two halves
-  };
-
   enum class JournalOp : uint8_t { kGrant = 1, kErase = 2, kAttr = 3 };
 
   struct JournalRecord {
@@ -130,13 +132,17 @@ class PersistentCacheStore : public CacheStore {
   // Opens an existing store (magic present: WAL recovery + index scan +
   // journal replay) or formats a virgin disk. The SimDisk is caller-owned and
   // must outlive the store — that is what lets a rebooted client reopen it.
-  static Result<std::unique_ptr<PersistentCacheStore>> Open(SimDisk* disk, Options options);
+  static Result<std::unique_ptr<PersistentCacheStore>> Open(SimDisk* disk);
+
+  // A store on a private SimDisk of `disk_blocks` blocks. Its index lives in
+  // memory only; the journal calls, Sync() and recovered() are no-ops.
+  static Result<std::unique_ptr<PersistentCacheStore>> CreatePrivate(uint64_t disk_blocks);
 
   ~PersistentCacheStore() override;
 
   // CacheStore interface. PutSlice() stores a clean block with unknown
   // version metadata; recovery drops such entries, so integration code should
-  // prefer PutBlock(). GetSlice/Erase/EraseFile behave like the sibling stores.
+  // prefer PutBlock(). GetSlice/Erase/EraseFile behave like MemoryCacheStore.
   Status PutSlice(const Fid& fid, uint64_t block, BufferSlice data) override;
   Result<BufferSlice> GetSlice(const Fid& fid, uint64_t block, size_t len) override;
   void Erase(const Fid& fid, uint64_t block) override;
@@ -160,7 +166,8 @@ class PersistentCacheStore : public CacheStore {
   // hand recovery a stale extension for a file the server has since shrunk.
   Status ClampFileSizes(const Fid& fid, uint64_t new_size);
 
-  // Appends a token-journal record (write-through).
+  // Appends a token-journal record (write-through). The journal calls below
+  // do nothing on a private store: no reboot will ever replay it.
   Status Journal(JournalOp op, const Token& token, uint64_t epoch);
 
   // Appends an attribute record (write-through). Latest record per fid wins
@@ -217,25 +224,24 @@ class PersistentCacheStore : public CacheStore {
   };
 
   using Key = std::pair<Fid, uint64_t>;
-  struct KeyLess {
-    bool operator()(const Key& a, const Key& b) const {
-      return std::tie(a.first.volume, a.first.vnode, a.first.uniq, a.second) <
-             std::tie(b.first.volume, b.first.vnode, b.first.uniq, b.second);
-    }
-  };
 
   PersistentCacheStore() = default;
+
+  // Lays out a store over `disk` (superblock, WAL, index, journal, slots).
+  static Result<std::unique_ptr<PersistentCacheStore>> Layout(SimDisk& disk);
+  // True for a caller-owned disk: the index is logged and tokens journaled.
+  bool durable() const { return wal_ != nullptr; }
 
   Status Boot();
   Status FormatLocked() REQUIRES(mu_);
   Status RecoverLocked() REQUIRES(mu_);
   Status ReplayJournalLocked() REQUIRES(mu_);
 
-  // Writes the entry for `slot` through the WAL (one short transaction).
+  // Writes the entry for `slot` through the WAL (one short transaction); a
+  // no-op on a private store, whose index is slots_ alone.
   Status WriteEntryLocked(uint64_t slot, const SlotState& state) REQUIRES(mu_);
   // Durably clears the entry (WAL commit forced to disk before returning).
   Status InvalidateSlotLocked(uint64_t slot) REQUIRES(mu_);
-  Status EraseSlotLocked(uint64_t slot) REQUIRES(mu_);
 
   Result<uint64_t> PickSlotLocked(const Key& key) REQUIRES(mu_);
 
@@ -246,13 +252,15 @@ class PersistentCacheStore : public CacheStore {
 
   static void SerializeRecord(Writer& w, const JournalRecord& rec);
 
-  SimDisk* disk_ = nullptr;  // caller-owned medium
+  // GUARD-EXEMPT: the private medium, created once in CreatePrivate() and
+  // never reseated; null for a caller-owned disk. I/O goes through crash_dev_.
+  std::unique_ptr<SimDisk> private_disk_;
   // GUARD-EXEMPT: wired once in Open() before any concurrent use; the
   // devices/WAL/cache they point at are driven only under mu_.
   std::unique_ptr<CrashableDevice> crash_dev_;
-  std::unique_ptr<BufferCache> cache_;  // index metadata only
+  std::unique_ptr<BufferCache> cache_;  // index metadata only; null when private
   // GUARD-EXEMPT: created once in Open(); the Wal object serializes its own
-  // appends internally.
+  // appends internally. Null on a private store.
   std::unique_ptr<Wal> wal_;
   // GUARD-EXEMPT: computed once in Open() from the disk size, immutable
   // afterwards.
@@ -267,19 +275,14 @@ class PersistentCacheStore : public CacheStore {
   // and nothing in those layers calls back up into this store.
   mutable Mutex mu_;
   std::vector<SlotState> slots_ GUARDED_BY(mu_);
-  std::map<Key, uint64_t, KeyLess> by_key_ GUARDED_BY(mu_);  // key -> slot
+  std::map<Key, uint64_t> by_key_ GUARDED_BY(mu_);  // key -> slot
   uint64_t next_victim_ GUARDED_BY(mu_) = 0;
   uint64_t bytes_used_ GUARDED_BY(mu_) = 0;
-  struct FidLess {
-    bool operator()(const Fid& a, const Fid& b) const {
-      return std::tie(a.volume, a.vnode, a.uniq) < std::tie(b.volume, b.vnode, b.uniq);
-    }
-  };
 
   // Token journal in-memory state (mirrors the active half).
   std::map<TokenId, JournalRecord> live_tokens_ GUARDED_BY(mu_);
   // Latest attr record per fid (kAttr replay state).
-  std::map<Fid, JournalRecord, FidLess> live_attrs_ GUARDED_BY(mu_);
+  std::map<Fid, JournalRecord> live_attrs_ GUARDED_BY(mu_);
   uint8_t active_half_ GUARDED_BY(mu_) = 0;
   uint64_t journal_appends_ GUARDED_BY(mu_) = 0;  // since last compaction
   uint64_t journal_seq_ GUARDED_BY(mu_) = 1;

@@ -3,6 +3,7 @@
 #ifndef SRC_VFS_TYPES_H_
 #define SRC_VFS_TYPES_H_
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -19,6 +20,7 @@ struct Fid {
   uint64_t uniq = 0;
 
   bool operator==(const Fid&) const = default;
+  auto operator<=>(const Fid&) const = default;  // by volume, vnode, uniq
   bool IsValid() const { return volume != 0 && vnode != 0; }
   std::string ToString() const;
 };

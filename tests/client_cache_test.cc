@@ -25,10 +25,11 @@ std::unique_ptr<CacheStore> MakeStore<MemoryCacheStore>() {
   return std::make_unique<MemoryCacheStore>();
 }
 
+// The disk store a default client gets: slots on a private disk.
 struct DiskTag {};
 template <>
 std::unique_ptr<CacheStore> MakeStore<DiskTag>() {
-  auto r = DiskCacheStore::Create(4096);
+  auto r = PersistentCacheStore::CreatePrivate(CacheManager::Options().cache_disk_blocks);
   EXPECT_TRUE(r.ok());
   return std::move(*r);
 }
@@ -79,8 +80,8 @@ TYPED_TEST(CacheStoreTest, EraseKeepsOtherBlocksAndPutRecreates) {
   ASSERT_OK(GetBytes(*store, fid, 1, out));
   EXPECT_EQ(out, block);
   EXPECT_EQ(store->bytes_used(), kBlockSize);
-  // Erasing the last block drops the file (a DiskCacheStore cache file is
-  // unlinked); the next Put starts it afresh.
+  // Erasing the last block drops the file (its slots are freed); the next
+  // Put starts it afresh.
   store->Erase(fid, 1);
   EXPECT_EQ(GetBytes(*store, fid, 1, out).code(), ErrorCode::kNotFound);
   EXPECT_EQ(store->bytes_used(), 0u);
@@ -116,11 +117,10 @@ TEST(MemoryCacheStoreTest, EraseAndEraseFile) {
   EXPECT_EQ(store.bytes_used(), 0u);
 }
 
-TEST(DiskCacheStoreTest, EraseFreesCacheFiles) {
-  // Regression: Erase used to leave every block (and every per-fid cache
-  // file) in the cache FFS, so a client that cached and dropped a few
-  // thousand distinct files ran out of inodes or blocks.
-  auto store = DiskCacheStore::Create(CacheManager::Options().cache_disk_blocks);
+TEST(PrivateDiskStoreTest, EraseFreesSlots) {
+  // A client that caches and drops many more distinct files than the disk
+  // has slots must get every slot back: Erase frees the block's slot.
+  auto store = PersistentCacheStore::CreatePrivate(CacheManager::Options().cache_disk_blocks);
   ASSERT_OK(store.status());
   std::vector<uint8_t> block(kBlockSize, 7);
   for (uint64_t i = 0; i < 10'000; ++i) {
@@ -155,7 +155,7 @@ TEST(ClientCacheTest, CreateWriteRemoveReclaimsTheCacheDisk) {
 TEST(ClientCacheTest, SmallCacheDiskServesAnLruSizedWorkingSet) {
   // A cache disk an eighth of the default serves a working set several
   // times its size when the LRU bound fits the disk: clean blocks are
-  // evicted, and each cache file is unlinked once its last block goes.
+  // evicted, and each evicted block's slot is freed.
   auto rig = DfsRig::Create();
   ASSERT_NE(rig, nullptr);
   constexpr int kFiles = 64;
@@ -188,6 +188,144 @@ TEST(ClientCacheTest, SmallCacheDiskServesAnLruSizedWorkingSet) {
   // The disk store copies on every put and get, so copies run well past the
   // one copy-out per byte a sharing memory store would cost.
   EXPECT_GE(s.bytes_copied, 2 * s.bytes_moved);
+}
+
+// Bytes that differ from block to block and within each block, so a block
+// served from the wrong slot or offset cannot pass for the right one.
+std::string Patterned(size_t len, uint32_t seed) {
+  std::string s(len, '\0');
+  for (size_t i = 0; i < len; ++i) {
+    s[i] = static_cast<char>((i * 31 + i / kBlockSize * 7 + seed) % 251);
+  }
+  return s;
+}
+
+// Reads the whole file in `chunk`-byte reads and compares each with `want`.
+void ExpectChunkedRead(Vnode& f, const std::string& want, size_t chunk) {
+  std::vector<uint8_t> buf(chunk);
+  for (size_t off = 0; off < want.size(); off += chunk) {
+    SCOPED_TRACE("offset " + std::to_string(off));
+    ASSERT_OK_AND_ASSIGN(size_t n, f.Read(off, buf));
+    ASSERT_EQ(n, std::min(chunk, want.size() - off));
+    ASSERT_EQ(0, std::memcmp(buf.data(), want.data() + off, n));
+  }
+}
+
+TEST(ClientCacheTest, DefaultClientWritesAndRereadsFourMiB) {
+  // Regression: the default disk store kept one cache file per fid in a
+  // private FFS whose files stop at about 2 MiB, so a default client could
+  // not write (INVALID_ARGUMENT: file too large for FFS) a bigger file.
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  CacheManager* client = rig->NewClient();
+  ASSERT_OK_AND_ASSIGN(VfsRef vfs, client->MountVolume("home"));
+  const std::string data = Patterned(4 << 20, 1);
+  ASSERT_OK_AND_ASSIGN(VnodeRef f, CreateFileAt(*vfs, "/big", 0644, TestCred()));
+  ASSERT_OK(WriteFileAt(*vfs, "/big", data, TestCred()));
+  ASSERT_OK(client->Fsync(f->fid()));
+  ASSERT_OK_AND_ASSIGN(std::string back, ReadFileAt(*vfs, "/big"));
+  EXPECT_TRUE(back == data);
+}
+
+TEST(ClientCacheTest, DefaultClientRereadsAFileLargerThanItsCache) {
+  // A 32 MiB file is twice the default disk store's 3,936 slots: both
+  // passes stream it through the cache, and every byte must match.
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  const std::string data = Patterned(32 << 20, 2);
+  CacheManager::Options wopts;
+  wopts.diskless = true;
+  CacheManager* writer = rig->NewClient("alice", wopts);
+  ASSERT_OK_AND_ASSIGN(VfsRef wvfs, writer->MountVolume("home"));
+  ASSERT_OK(CreateFileAt(*wvfs, "/huge", 0644, TestCred()).status());
+  ASSERT_OK(WriteFileAt(*wvfs, "/huge", data, TestCred()));
+  ASSERT_OK(writer->SyncAll());
+
+  CacheManager* reader = rig->NewClient("bob");
+  ASSERT_OK_AND_ASSIGN(VfsRef rvfs, reader->MountVolume("home"));
+  ASSERT_OK_AND_ASSIGN(VnodeRef f, ResolvePath(*rvfs, "/huge"));
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE("pass " + std::to_string(pass));
+    ExpectChunkedRead(*f, data, 256 << 10);
+  }
+  EXPECT_GT(reader->stats().cache_evictions, 0u);
+}
+
+TEST(ClientCacheTest, DiskStoreFullOfCleanBlocksIsEvictedByTheManager) {
+  // Regression: the manager's LRU bound ignored the disk store's slot count,
+  // so the store silently recycled slots the manager still listed as cached
+  // (cache_evictions stayed 0). The bound is now capped at the slot count,
+  // on a caller-owned disk and on a private one alike.
+  constexpr uint64_t kDiskBlocks = 512;
+  constexpr size_t kFileBlocks = 512;
+  SimDisk cache_disk(kDiskBlocks);  // outlives the rig and its clients
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  const std::string data = Patterned(kFileBlocks * kBlockSize, 3);
+  CacheManager* seeder = rig->NewClient("alice");
+  ASSERT_OK_AND_ASSIGN(VfsRef svfs, seeder->MountVolume("home"));
+  ASSERT_OK(CreateFileAt(*svfs, "/span", 0644, TestCred()).status());
+  ASSERT_OK(WriteFileAt(*svfs, "/span", data, TestCred()));
+  ASSERT_OK(seeder->SyncAll());
+
+  for (bool caller_owned : {true, false}) {
+    SCOPED_TRACE(caller_owned ? "caller-owned disk" : "private disk");
+    CacheManager::Options opts;
+    if (caller_owned) {
+      opts.persistent_cache_disk = &cache_disk;
+    } else {
+      opts.cache_disk_blocks = kDiskBlocks;
+    }
+    CacheManager* reader = rig->NewClient("bob", opts);
+    ASSERT_OK_AND_ASSIGN(auto slots, PersistentCacheStore::CreatePrivate(kDiskBlocks));
+    const uint64_t data_slots = slots->data_slots();
+    ASSERT_LT(data_slots, kFileBlocks);
+    ASSERT_OK_AND_ASSIGN(VfsRef rvfs, reader->MountVolume("home"));
+    ASSERT_OK_AND_ASSIGN(VnodeRef f, ResolvePath(*rvfs, "/span"));
+    ExpectChunkedRead(*f, data, 64 << 10);
+    // Every block read past the slot count pushed one out through the LRU.
+    EXPECT_GE(reader->stats().cache_evictions, kFileBlocks - data_slots);
+    ExpectChunkedRead(*f, data, 64 << 10);
+  }
+}
+
+TEST(ClientCacheTest, PartialWriteRefetchesABlockTheStoreRecycled) {
+  // Blocks written under a token already held enter the store but not the
+  // manager's LRU, so reading another file can make a full slot store
+  // recycle them while the manager still lists them as cached. A partial
+  // overwrite of such a block finds it gone and fetches it again.
+  auto rig = DfsRig::Create();
+  ASSERT_NE(rig, nullptr);
+  constexpr size_t kFileBlocks = 300;  // two of these overfill 407 slots
+  const std::string theirs = Patterned(kFileBlocks * kBlockSize, 4);
+  CacheManager* seeder = rig->NewClient("alice");
+  ASSERT_OK_AND_ASSIGN(VfsRef svfs, seeder->MountVolume("home"));
+  ASSERT_OK(CreateFileAt(*svfs, "/theirs", 0644, TestCred()).status());
+  ASSERT_OK(WriteFileAt(*svfs, "/theirs", theirs, TestCred()));
+  ASSERT_OK(seeder->SyncAll());
+
+  CacheManager::Options opts;
+  opts.cache_disk_blocks = 512;
+  opts.whole_file_data_tokens = true;  // the first write's grant covers the rest
+  CacheManager* client = rig->NewClient("bob", opts);
+  ASSERT_OK_AND_ASSIGN(VfsRef vfs, client->MountVolume("home"));
+  std::string mine = Patterned(kFileBlocks * kBlockSize, 5);
+  ASSERT_OK_AND_ASSIGN(VnodeRef f, CreateFileAt(*vfs, "/mine", 0644, TestCred()));
+  auto bytes = [](std::string_view v) {
+    return std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(v.data()), v.size());
+  };
+  ASSERT_OK(f->Write(0, bytes(std::string_view(mine).substr(0, kBlockSize))).status());
+  ASSERT_OK(f->Write(kBlockSize, bytes(std::string_view(mine).substr(kBlockSize))).status());
+  ASSERT_OK(client->Fsync(f->fid()));
+  ASSERT_OK_AND_ASSIGN(VnodeRef t, ResolvePath(*vfs, "/theirs"));
+  ExpectChunkedRead(*t, theirs, 64 << 10);
+
+  const std::string patch = "patched";
+  ASSERT_OK_AND_ASSIGN(size_t n, f->Write(5 * kBlockSize + 100, bytes(patch)));
+  EXPECT_EQ(n, patch.size());
+  mine.replace(5 * kBlockSize + 100, patch.size(), patch);
+  ExpectChunkedRead(*f, mine, 64 << 10);
+  ExpectChunkedRead(*t, theirs, 64 << 10);
 }
 
 TEST(ClientCacheTest, AlternatingReaderAndWriterDoNotStackStatusTokens) {

@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "src/ffs/ffs.h"
 #include "src/vfs/path.h"
 #include "tests/dfs_rig.h"
 #include "tests/test_util.h"

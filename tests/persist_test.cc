@@ -64,7 +64,7 @@ TEST(PersistentStoreTest, RoundTripAndWarmReopen) {
   auto disk = std::make_unique<SimDisk>(1024);
   Fid f{1, 7, 3};
   {
-    ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get(), {}));
+    ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get()));
     EXPECT_FALSE(store->recovered().recovered);  // virgin disk was formatted
     ASSERT_OK(store->PutBlock(f, 0, Fill(0x11), /*dirty=*/false, /*stamp=*/100,
                               /*data_version=*/5, /*file_size=*/3 * kBlockSize));
@@ -77,7 +77,7 @@ TEST(PersistentStoreTest, RoundTripAndWarmReopen) {
                              MakeToken(9, f, kTokenDataRead | kTokenStatusRead), /*epoch=*/4));
     // Clean shutdown: the destructor syncs the WAL and index.
   }
-  ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get(), {}));
+  ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get()));
   ASSERT_TRUE(store->recovered().recovered);
   ASSERT_EQ(store->recovered().files.size(), 1u);
   const auto& rf = store->recovered().files[0];
@@ -109,13 +109,13 @@ TEST(PersistentStoreTest, MarkCleanAndEraseSurviveReopen) {
   auto disk = std::make_unique<SimDisk>(1024);
   Fid f{1, 8, 1};
   {
-    ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get(), {}));
+    ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get()));
     ASSERT_OK(store->PutBlock(f, 0, Fill(0x31), /*dirty=*/true, 10, 1, 2 * kBlockSize));
     ASSERT_OK(store->PutBlock(f, 1, Fill(0x32), /*dirty=*/true, 10, 1, 2 * kBlockSize));
     ASSERT_OK(store->MarkClean(f, 0, /*stamp=*/11, /*data_version=*/2, 2 * kBlockSize));
     store->Erase(f, 1);
   }
-  ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get(), {}));
+  ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get()));
   ASSERT_TRUE(store->recovered().recovered);
   ASSERT_EQ(store->recovered().files.size(), 1u);
   const auto& rf = store->recovered().files[0];
@@ -131,7 +131,7 @@ TEST(PersistentStoreTest, ClampFileSizesSurvivesReopen) {
   Fid f{1, 9, 2};
   Fid other{1, 10, 4};
   {
-    ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get(), {}));
+    ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get()));
     ASSERT_OK(store->PutBlock(f, 0, Fill(0x41), /*dirty=*/true, /*stamp=*/10,
                               /*data_version=*/3, /*file_size=*/3 * kBlockSize));
     ASSERT_OK(store->PutBlock(f, 1, Fill(0x42), /*dirty=*/false, 10, 3, 3 * kBlockSize));
@@ -140,7 +140,7 @@ TEST(PersistentStoreTest, ClampFileSizesSurvivesReopen) {
     // the pre-truncate size.
     ASSERT_OK(store->ClampFileSizes(f, kBlockSize));
   }
-  ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get(), {}));
+  ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get()));
   ASSERT_TRUE(store->recovered().recovered);
   for (const auto& rf : store->recovered().files) {
     for (const auto& b : rf.blocks) {
@@ -157,7 +157,7 @@ TEST(PersistentStoreTest, JournalEraseUpdateAndCheckpointCompaction) {
   auto disk = std::make_unique<SimDisk>(2048);
   Fid f{1, 9, 1};
   {
-    ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get(), {}));
+    ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get()));
     // Re-granting the same id updates the record in place (revocations that
     // narrow a token do this); enough appends to force at least one in-place
     // compaction of the active half.
@@ -170,7 +170,7 @@ TEST(PersistentStoreTest, JournalEraseUpdateAndCheckpointCompaction) {
       ASSERT_OK(store->Journal(JournalOp::kErase, MakeToken(id, f, kTokenDataRead), 2));
     }
   }
-  ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get(), {}));
+  ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get()));
   ASSERT_TRUE(store->recovered().recovered);
   std::set<TokenId> live;
   for (const auto& rec : store->recovered().tokens) {
@@ -183,7 +183,7 @@ TEST(PersistentStoreTest, JournalEraseUpdateAndCheckpointCompaction) {
   std::vector<JournalRecord> survivors{{JournalOp::kGrant, MakeToken(3, f, kTokenDataRead), 5}};
   ASSERT_OK(store->CheckpointJournal(survivors));
   store.reset();
-  ASSERT_OK_AND_ASSIGN(auto reopened, PersistentCacheStore::Open(disk.get(), {}));
+  ASSERT_OK_AND_ASSIGN(auto reopened, PersistentCacheStore::Open(disk.get()));
   ASSERT_EQ(reopened->recovered().tokens.size(), 1u);
   EXPECT_EQ(reopened->recovered().tokens[0].token.id, 3u);
   EXPECT_EQ(reopened->recovered().tokens[0].epoch, 5u);
@@ -191,7 +191,7 @@ TEST(PersistentStoreTest, JournalEraseUpdateAndCheckpointCompaction) {
 
 TEST(PersistentStoreTest, EvictionStaysWithinCapacity) {
   auto disk = std::make_unique<SimDisk>(512);
-  ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get(), {}));
+  ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get()));
   uint64_t slots = store->data_slots();
   ASSERT_GT(slots, 0u);
   Fid f{1, 11, 1};
@@ -203,6 +203,42 @@ TEST(PersistentStoreTest, EvictionStaysWithinCapacity) {
   std::vector<uint8_t> out(kBlockSize);
   ASSERT_OK(GetBytes(*store, f, slots + 7, out));
   EXPECT_TRUE(Uniform(out, uint8_t((slots + 7) & 0xFF)));
+}
+
+TEST(PersistentStoreTest, PrivateStoreWritesOnlyDataAndKeepsDirtySlots) {
+  // A private disk dies with its client, so its store writes data slots and
+  // nothing else: no format, no index WAL, no token journal.
+  ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::CreatePrivate(512));
+  const uint64_t slots = store->data_slots();
+  ASSERT_GT(slots, 1u);
+  EXPECT_EQ(store->device_writes(), 0u);
+  Fid f{1, 12, 1};
+  // Every slot dirty but the last.
+  for (uint64_t b = 0; b < slots; ++b) {
+    ASSERT_OK(store->PutBlock(f, b, Fill(uint8_t(b & 0xFF)), /*dirty=*/b + 1 < slots, 1, 1, 0));
+  }
+  ASSERT_OK(store->Journal(JournalOp::kGrant, MakeToken(3, f, kTokenDataRead), /*epoch=*/1));
+  ASSERT_OK(store->Sync());
+  EXPECT_EQ(store->device_writes(), slots);
+  EXPECT_EQ(store->journal_appends_since_checkpoint(), 0u);
+  EXPECT_EQ(store->recovered().recovered, false);
+
+  // A full store recycles only its clean slot; then it has no victim left.
+  ASSERT_OK(store->PutBlock(f, slots, Fill(0xEE), /*dirty=*/true, 1, 1, 0));
+  std::vector<uint8_t> out(kBlockSize);
+  EXPECT_EQ(GetBytes(*store, f, slots - 1, out).code(), ErrorCode::kNotFound);
+  for (uint64_t b = 0; b + 1 < slots; ++b) {
+    ASSERT_OK(GetBytes(*store, f, b, out));
+    ASSERT_TRUE(Uniform(out, uint8_t(b & 0xFF))) << "dirty block " << b;
+  }
+  EXPECT_EQ(store->PutBlock(f, slots + 1, Fill(0xEF), false, 1, 1, 0).code(),
+            ErrorCode::kNoSpace);
+  // A store-back marks a dirty block clean, which makes it a victim again.
+  ASSERT_OK(store->MarkClean(f, 0, 2, 2, 0));
+  ASSERT_OK(store->PutBlock(f, slots + 1, Fill(0xEF), /*dirty=*/false, 1, 1, 0));
+  EXPECT_EQ(GetBytes(*store, f, 0, out).code(), ErrorCode::kNotFound);
+  ASSERT_OK(GetBytes(*store, f, 1, out));
+  EXPECT_TRUE(Uniform(out, 1));
 }
 
 // --- Crash-point sweep: every prefix of the write path must recover ---
@@ -234,7 +270,7 @@ TEST(PersistentStoreTest, CrashPointSweepRecoversFromAnyPrefix) {
   uint64_t total_writes = 0;
   {
     auto disk = std::make_unique<SimDisk>(1024);
-    ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get(), {}));
+    ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get()));
     uint64_t before = store->device_writes();
     std::array<bool, 8> acked{};
     run_script(*store, acked);
@@ -251,12 +287,12 @@ TEST(PersistentStoreTest, CrashPointSweepRecoversFromAnyPrefix) {
     auto disk = std::make_unique<SimDisk>(1024);
     std::array<bool, 8> acked{};
     {
-      ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get(), {}));
+      ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get()));
       store->CrashAfterWrites(n);
       run_script(*store, acked);
     }
     // Reopen MUST succeed from any prefix of the medium.
-    ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get(), {}));
+    ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(disk.get()));
     ASSERT_TRUE(store->recovered().recovered);
 
     std::map<uint64_t, PersistentCacheStore::RecoveredBlock> blocks;
@@ -436,7 +472,7 @@ TEST(WarmRebootTest, TruncateClampsPersistedSizes) {
   // The medium itself must agree with the truncate: no surviving entry of the
   // file may record a size beyond it.
   {
-    ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(&cache_disk, {}));
+    ASSERT_OK_AND_ASSIGN(auto store, PersistentCacheStore::Open(&cache_disk));
     ASSERT_TRUE(store->recovered().recovered);
     bool saw_block = false;
     for (const auto& rf : store->recovered().files) {
